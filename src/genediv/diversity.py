@@ -59,7 +59,8 @@ class DiversityConfig:
             raise ValueError(f"diversity sample size must be >= 1, got {self.sample_size}")
 
 
-DistanceFn = Callable[[object, object], float]
+DistanceFn = Callable[[object, Sequence], list[float]]
+"""``fn(x, others)``: the distance from ``x`` to each of ``others``, in order."""
 
 
 def make_distance_fn(
@@ -67,23 +68,24 @@ def make_distance_fn(
     graph: GenealogyGraph | None = None,
     index: AncestryIndex | None = None,
 ) -> DistanceFn | None:
-    """Return a pairwise distance over individuals, or ``None`` for ``NONE``.
+    """Return an x-versus-peers distance over individuals, or ``None`` for ``NONE``.
 
     Individuals only need ``genome`` / ``trash`` / ``node`` attributes.  The
-    genealogical metric reads from ``index`` when given (fast incremental
-    cache), otherwise from ``graph``.
+    genealogical metric reads from ``index`` when given (one batched query
+    per call), otherwise from ``graph``.
     """
     if kind is MetricKind.NONE:
         return None
     if kind is MetricKind.DOMAIN:
-        return lambda a, b: domain_distance(a.genome, b.genome)
+        return lambda x, others: [domain_distance(x.genome, o.genome) for o in others]
     if kind is MetricKind.TRASH_BITS:
-        return lambda a, b: tdist(a.trash, b.trash)
+        return lambda x, others: [tdist(x.trash, o.trash) for o in others]
     if kind is MetricKind.GENEALOGICAL_TREE:
-        source = index if index is not None else graph
-        if source is None:
+        if index is not None:
+            return lambda x, others: index.gdist_many(x.node, [o.node for o in others])
+        if graph is None:
             raise ValueError("genealogical metric needs a genealogy graph or ancestry index")
-        return lambda a, b: source.gdist(a.node, b.node)
+        return lambda x, others: [graph.gdist(x.node, o.node) for o in others]
     raise ValueError(f"unknown diversity metric kind: {kind!r}")
 
 
@@ -141,7 +143,7 @@ def average_distance(
     fn = distance_fn if distance_fn is not None else make_distance_fn(kind, graph)
     if fn is None:
         return 0.0
-    return sum(fn(x, other) for other in sample) / len(sample)
+    return sum(fn(x, sample)) / len(sample)
 
 
 def augmented_fitness(
@@ -165,5 +167,5 @@ def augmented_fitness(
     if not peers:
         return float(raw_fitness)
     fn = distance_fn if distance_fn is not None else make_distance_fn(config.kind, graph)
-    mean_dist = sum(fn(x, other) for other in peers) / len(peers)
+    mean_dist = sum(fn(x, peers)) / len(peers)
     return float(raw_fitness + config.weight * mean_dist)

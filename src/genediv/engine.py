@@ -97,11 +97,6 @@ class EngineConfig:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         self.diversity.validate()
 
-    def max_nodes(self) -> int:
-        """Upper bound on genealogy size: initial pop + per-generation births."""
-        per_gen = 2 * self.population_size + self.immigrants_per_gen
-        return self.population_size + self.generations * per_gen
-
 
 @dataclass(frozen=True, eq=False)
 class TraceRow:
@@ -198,10 +193,16 @@ def step_generation(
     if n != config.population_size:
         raise ValueError(f"expected population of {config.population_size}, got {n}")
     div = config.diversity
-    distance_fn = make_distance_fn(div.kind, graph, ancestry_index)
+    if div.kind is MetricKind.NONE or div.weight == 0.0:
+        # Inert shaping: augmented_fitness would hand back the raw fitness
+        # without drawing from rng, so skip the call.
+        def shaped(x: Individual, peers: list[Individual]) -> float:
+            return x.raw_fitness
+    else:
+        distance_fn = make_distance_fn(div.kind, graph, ancestry_index)
 
-    def shaped(x: Individual, peers: list[Individual]) -> float:
-        return augmented_fitness(x, peers, x.raw_fitness, div, rng, distance_fn=distance_fn)
+        def shaped(x: Individual, peers: list[Individual]) -> float:
+            return augmented_fitness(x, peers, x.raw_fitness, div, rng, distance_fn=distance_fn)
 
     def spawn(parents: tuple[int, ...], kind: OpKind, genome, trash) -> Individual:
         node = graph.record_birth(parents, kind, generation)
@@ -271,12 +272,10 @@ def _probe_diversity(
         return 0.0
     members = [population[j] for j in indices]
     total = 0.0
-    pairs = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            total += distance_fn(members[i], members[j])
-            pairs += 1
-    return total / pairs
+    for i in range(k - 1):
+        for d in distance_fn(members[i], members[i + 1 :]):
+            total += d
+    return total / (k * (k - 1) // 2)
 
 
 def _trace_row(
@@ -321,7 +320,7 @@ def run_evolution(
     population, graph = initialize(config, rng, problem)
     index = None
     if config.diversity.kind is MetricKind.GENEALOGICAL_TREE:
-        index = AncestryIndex.from_graph(graph, capacity=max(config.max_nodes(), 1))
+        index = AncestryIndex.from_graph(graph)
     registry = {ind.node: ind for ind in population} if keep_all else None
     distance_fn = make_distance_fn(config.diversity.kind, graph, index)
     trace: list[TraceRow] = []

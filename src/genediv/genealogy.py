@@ -18,9 +18,12 @@ On top of the raw graph this module provides:
   common ancestor score 1.
 * ``edist_oracle`` -- undirected shortest-path length over recorded edges,
   a slower reference distance used to sanity-check ``gdist``.
-* ``AncestryIndex`` -- an incremental cache of ancestor distances that
-  answers ``gdist`` queries in O(n) vectorised work per pair, fast enough
-  for use inside a selection loop.
+* ``AncestryIndex`` -- an incremental cache of ancestor distances over the
+  live ancestry (the ancestors of the individuals still alive).  A query
+  for one individual against a batch of peers costs one stacked pass of
+  O(live ancestry) vectorised work, and memory is bounded by the live
+  ancestry rather than by every node ever born, so it is fast enough for
+  use inside a selection loop.
 
 Plain-text logs of the graph (one node per line) can be written and read
 back with :func:`write_genealogy_log` / :func:`read_genealogy_log`.
@@ -321,103 +324,141 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
 # fast incremental index
 # ----------------------------------------------------------------------
 
-class AncestryIndex:
-    """Incrementally maintained ancestor-distance vectors for fast ``gdist``.
+# Entry of a column that is not an ancestor of the row's node.  A child adds
+# one to its parents' entries, so these stay in [2**30, 2**31), and real
+# distances stay below the bit, for any genealogy under 2**30 births deep.
+_UNREACHED = 1 << 30
 
-    For every tracked node ``x`` the index keeps a float32 vector ``v`` with
-    ``v[a] = adist(a, x)`` for each ancestor ``a`` and ``inf`` elsewhere.  A
-    child's vector is the element-wise minimum of its parents' vectors plus
-    one, so maintenance is O(n) per birth and a ``gdist`` query is a handful
-    of vectorised passes instead of two graph traversals.  Distances stay
-    exact because they are small integers represented in float32.
+
+class AncestryIndex:
+    """Ancestor-distance rows over the live ancestry, for fast ``gdist``.
+
+    The columns are the *live ancestry*: every node that some tracked node
+    descends from (itself included), in birth order.  For every tracked node
+    ``x`` the index keeps an int32 row ``v`` with ``v[c] = adist(a, x)`` for
+    the ancestor ``a`` held in column ``c``; columns of non-ancestors carry
+    the ``_UNREACHED`` bit.  A child gets a new column of its own, and its row
+    is the element-wise minimum of its parents' rows plus one.
 
     Nodes must be added in birth order while their parents are still
-    tracked; call :meth:`retain` after selection to drop vectors of dead
-    individuals.  Queries reuse scratch buffers, so an index instance must
-    not be shared between threads.
+    tracked.  :meth:`retain`, called after selection, drops the rows of dead
+    individuals and compacts away every column no remaining row reaches (the
+    "simplify" step of tree-sequence recording).  Memory, ``add`` and a
+    ``gdist`` query therefore cost O(live ancestry) rather than O(nodes ever
+    born); the live ancestry still grows with the run, but far more slowly.
+    Storage doubles on demand.
     """
 
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._count = 0
-        self._vectors: dict[int, np.ndarray] = {}
-        self._depths: dict[int, int] = {}
-        self._s1 = np.empty(capacity, dtype=np.float32)
-        self._s2 = np.empty(capacity, dtype=np.float32)
-        self._mask = np.empty(capacity, dtype=bool)
+    def __init__(self) -> None:
+        self._count = 0  # id the next added node must carry
+        self._width = 0  # columns in use
+        self._rows: dict[int, int] = {}  # tracked node -> row; rows are dense
+        self._col: list[int] = []  # row -> its node's own column
+        self._depth: list[int] = []  # row -> its node's depth
+        self._dist = np.full((16, 64), _UNREACHED, dtype=np.int32)  # row x column
+        self._nodes = np.empty(64, dtype=np.int64)  # column -> node id
 
     @classmethod
-    def from_graph(cls, graph: GenealogyGraph, capacity: int | None = None) -> "AncestryIndex":
-        """Build an index covering every node already recorded in ``graph``."""
-        index = cls(max(capacity if capacity is not None else len(graph), 1))
+    def from_graph(cls, graph: GenealogyGraph) -> "AncestryIndex":
+        """Build an index tracking every node already recorded in ``graph``."""
+        index = cls()
         for node in graph.nodes():
             index.add(node, graph.parents(node))
         return index
 
     def __contains__(self, node: int) -> bool:
-        return node in self._vectors
+        return node in self._rows
+
+    def live_ancestry(self) -> list[int]:
+        """Node ids of the columns: every ancestor of a tracked node, in birth order."""
+        return self._nodes[: self._width].tolist()
+
+    def _reserve(self, rows: int, cols: int) -> None:
+        """Double the storage along each axis that is shorter than asked."""
+        old_rows, old_cols = self._dist.shape
+        if rows <= old_rows and cols <= old_cols:
+            return
+        new_rows = 2 * old_rows if rows > old_rows else old_rows
+        new_cols = 2 * old_cols if cols > old_cols else old_cols
+        dist = np.full((new_rows, new_cols), _UNREACHED, dtype=np.int32)
+        used = len(self._rows)
+        dist[:used, : self._width] = self._dist[:used, : self._width]
+        self._dist = dist
+        self._nodes = np.resize(self._nodes, new_cols)
 
     def add(self, node: int, parents: tuple[int, ...]) -> None:
         """Track a newly born node (ids must arrive in birth order)."""
         if node != self._count:
             raise ValueError(f"expected node id {self._count} next, got {node}")
-        if node >= self._capacity:
-            raise ValueError(f"capacity {self._capacity} exceeded")
-        vec = np.full(self._capacity, np.inf, dtype=np.float32)
-        n = self._count
-        if parents:
-            try:
-                first = self._vectors[parents[0]]
-            except KeyError:
-                raise KeyError(f"parent {parents[0]} is no longer tracked") from None
-            if len(parents) == 1:
-                np.add(first[:n], 1.0, out=vec[:n])
-            else:
-                try:
-                    second = self._vectors[parents[1]]
-                except KeyError:
-                    raise KeyError(f"parent {parents[1]} is no longer tracked") from None
-                np.minimum(first[:n], second[:n], out=vec[:n])
-                vec[:n] += 1.0
-        vec[node] = 0.0
-        head = vec[: node + 1]
-        finite = head[np.isfinite(head)]
-        self._vectors[node] = vec
-        self._depths[node] = int(finite.max())
+        parent_rows = []
+        for p in parents:
+            if p not in self._rows:
+                raise KeyError(f"parent {p} is no longer tracked")
+            parent_rows.append(self._rows[p])
+        row, col = len(self._rows), self._width
+        self._reserve(row + 1, col + 1)
+        dist = self._dist
+        vec = dist[row, : col + 1]
+        if not parent_rows:
+            vec[:col] = _UNREACHED
+        elif len(parent_rows) == 1:
+            np.add(dist[parent_rows[0], :col], 1, out=vec[:col])
+        else:
+            np.minimum(dist[parent_rows[0], :col], dist[parent_rows[1], :col], out=vec[:col])
+            vec[:col] += 1
+        vec[col] = 0
+        self._rows[node] = row
+        self._col.append(col)
+        self._depth.append(int(vec.max(where=vec < _UNREACHED, initial=0)))
+        self._nodes[col] = node
+        self._width += 1
         self._count += 1
 
     def depth(self, node: int) -> int:
-        return self._depths[node]
+        return self._depth[self._rows[node]]
 
     def gdist(self, a: int, b: int) -> float:
         """Same contract as :meth:`GenealogyGraph.gdist`, for tracked nodes."""
-        if a == b:
-            if a not in self._vectors:
-                raise KeyError(f"node {a} is not tracked")
-            return 0.0
-        va = self._vectors[a]
-        vb = self._vectors[b]
-        k = min(a, b) + 1  # common ancestors never exceed the smaller id
-        s1 = self._s1[:k]
-        s2 = self._s2[:k]
-        mask = self._mask[:k]
-        np.minimum(va[:k], vb[:k], out=s1)
-        np.maximum(va[:k], vb[:k], out=s2)
-        np.isinf(s2, out=mask)
-        np.copyto(s1, np.inf, where=mask)
-        num = float(s1.min())
-        if math.isinf(num):
-            return 1.0
-        denom = max(self._depths[a], self._depths[b])
-        if denom == 0:
-            return 0.0
-        return num / denom
+        return self.gdist_many(a, (b,))[0]
+
+    def gdist_many(self, x: int, others) -> list[float]:
+        """``gdist(x, o)`` for every ``o`` in ``others``, in one stacked pass."""
+        row = self._rows[x]
+        rows = [self._rows[o] for o in others]
+        if not rows:
+            return []
+        col = self._col
+        # Columns are in birth order, so no common ancestor of a pair lies
+        # past the column of its smaller node.
+        k = min(col[row], max([col[r] for r in rows])) + 1
+        peers = self._dist[rows, :k]
+        own = self._dist[row, :k]
+        outside = np.bitwise_or(peers, own)
+        outside &= _UNREACHED  # set unless the column is a common ancestor
+        np.minimum(peers, own, out=peers)
+        peers |= outside
+        depth = self._depth
+        own_depth = depth[row]
+        out = []
+        for num, r in zip(peers.min(axis=1).tolist(), rows):
+            denom = max(own_depth, depth[r])
+            out.append(1.0 if num >= _UNREACHED else 0.0 if denom == 0 else num / denom)
+        return out
 
     def retain(self, alive) -> None:
-        """Drop vectors for every node not listed in ``alive``."""
-        keep = set(alive)
-        for node in [n for n in self._vectors if n not in keep]:
-            del self._vectors[node]
-            del self._depths[node]
+        """Drop every node not listed in ``alive``, then every column that no
+        remaining node descends from."""
+        kept = [n for n in dict.fromkeys(alive) if n in self._rows]
+        rows = [self._rows[n] for n in kept]
+        width = self._width
+        live = self._dist[rows, :width]
+        keep = (live < _UNREACHED).any(axis=0)
+        new_width = int(np.count_nonzero(keep))
+        self._dist[: len(rows), :new_width] = live[:, keep]
+        self._dist[:, new_width:width] = _UNREACHED
+        new_col = np.cumsum(keep) - 1
+        self._col = new_col[[self._col[r] for r in rows]].tolist()
+        self._depth = [self._depth[r] for r in rows]
+        self._nodes[:new_width] = self._nodes[:width][keep]
+        self._rows = dict(zip(kept, range(len(kept))))
+        self._width = new_width

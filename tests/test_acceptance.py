@@ -19,6 +19,7 @@ to prove byte-identical output) the full 4-variant x 10-seed x
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from time import perf_counter
@@ -369,6 +370,26 @@ def test_criterion_8_diversity_variants_vs_baseline(capsys, full_experiment):
     summary = " ".join(f"{name}={value:.3f}" for name, value in final.items())
     announce(capsys, 8, "diversity variants vs baseline", ok, summary)
     assert ok
+
+
+# sha256 of the default experiment's CSVs, fixed when that output was first
+# recorded: any change to the random stream or to the arithmetic shows here.
+REFERENCE_SHA256 = {
+    "aggregate.csv": "3d82c95649c9f8ed1bf97a4b30d2aa6d28e4164a9b53b2547b828b4ccd2cc394",
+    "raw_none.csv": "8452c58703e4e21ea2ee485883a1adfc865f36f9c5b54f12a6882f88189e7847",
+    "raw_domain.csv": "0ae8e7bf8f76a51ee0ebd4a8fbdb3733c94d87992834d3bc8fdf4a9987e85060",
+    "raw_genealogical_tree.csv": "519e3fbab0665c8e9d8fd81df3dfda65c2a7005ecc24a78a69561457fc5aebc1",
+    "raw_trash_bits.csv": "5f619e436df873388a52cab4abddd8096466480ca6859f6b7b860d8aaaa89d45",
+}
+
+
+def test_default_run_matches_reference_sha256(full_experiment):
+    """The default experiment reproduces the recorded CSVs byte for byte,
+    not only its own rerun (criterion 7)."""
+    outdir, _ = full_experiment
+    got = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+           for name in REFERENCE_SHA256}
+    assert got == REFERENCE_SHA256
 
 
 # ---------------------------------------------------------------------------

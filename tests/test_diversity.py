@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from genediv import (
+    AncestryIndex,
     DiversityConfig,
     GenealogyGraph,
     Individual,
@@ -91,11 +92,20 @@ def test_make_distance_fn_dispatch():
     population = make_population(rng, size=4, graph=graph)
     a, b = population[0], population[1]
 
+    others = population[1:]
     assert make_distance_fn(MetricKind.NONE) is None
-    assert make_distance_fn(MetricKind.DOMAIN)(a, b) == domain_distance(a.genome, b.genome)
-    assert make_distance_fn(MetricKind.TRASH_BITS)(a, b) == tdist(a.trash, b.trash)
+    assert make_distance_fn(MetricKind.DOMAIN)(a, others) == [
+        domain_distance(a.genome, o.genome) for o in others
+    ]
+    assert make_distance_fn(MetricKind.TRASH_BITS)(a, others) == [
+        tdist(a.trash, o.trash) for o in others
+    ]
     fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph)
-    assert fn(a, b) == graph.gdist(a.node, b.node) == 1.0
+    assert fn(a, [b]) == [graph.gdist(a.node, b.node)] == [1.0]
+    assert fn(a, []) == []
+    index = AncestryIndex.from_graph(graph)
+    fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph, index)
+    assert fn(a, others) == [graph.gdist(a.node, o.node) for o in others]
 
 
 def test_make_distance_fn_requires_genealogy_source():
@@ -108,7 +118,9 @@ def test_average_distance():
     population = make_population(rng)
     x, rest = population[0], population[1:4]
     expected = sum(domain_distance(x.genome, p.genome) for p in rest) / 3
-    assert average_distance(x, rest, MetricKind.DOMAIN) == pytest.approx(expected)
+    assert average_distance(x, rest, MetricKind.DOMAIN) == expected
+    batched = make_distance_fn(MetricKind.DOMAIN)
+    assert average_distance(x, rest, MetricKind.DOMAIN, distance_fn=batched) == expected
     assert average_distance(x, rest, MetricKind.NONE) == 0.0
     with pytest.raises(ValueError):
         average_distance(x, [], MetricKind.DOMAIN)

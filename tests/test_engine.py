@@ -157,7 +157,9 @@ def test_recombination_children_inherit_trash_bitwise():
 def test_graph_growth_respects_upper_bound():
     config = small_config(generations=25)
     result = run_evolution(config, PROBLEM, seed=61)
-    assert len(result.graph) <= config.max_nodes()
+    # each generation: at most one mutant and one crossover child per member
+    births_per_gen = 2 * config.population_size + config.immigrants_per_gen
+    assert len(result.graph) <= config.population_size + config.generations * births_per_gen
 
 
 # ----------------------------------------------------------------------

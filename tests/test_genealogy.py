@@ -320,17 +320,81 @@ def test_ancestry_index_matches_graph_on_random_dags():
 
 
 def test_ancestry_index_requires_birth_order():
-    index = AncestryIndex(capacity=4)
+    index = AncestryIndex()
     index.add(0, ())
     with pytest.raises(ValueError):
         index.add(2, ())
 
 
-def test_ancestry_index_capacity_bound():
-    index = AncestryIndex(capacity=1)
-    index.add(0, ())
-    with pytest.raises(ValueError):
-        index.add(1, (0,))
+def test_ancestry_index_grows_past_initial_allocation():
+    # Nothing is retained, so every node stays tracked and every node is a
+    # column: far more rows and columns than a fresh index allocates.
+    rng = np.random.default_rng(15)
+    g = GenealogyGraph()
+    index = AncestryIndex()
+    for i in range(300):
+        if i == 0 or rng.random() < 0.1:
+            parents = ()
+        elif i == 1 or rng.random() < 0.5:
+            parents = (int(rng.integers(i)),)
+        else:
+            parents = tuple(int(p) for p in rng.choice(i, size=2, replace=False))
+        kind = (OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION)[len(parents)]
+        index.add(g.record_birth(parents, kind, i), parents)
+    assert index.live_ancestry() == list(range(300))
+    for _ in range(200):
+        a, b = (int(v) for v in rng.integers(300, size=2))
+        assert index.gdist(a, b) == g.gdist(a, b)
+        assert index.depth(a) == g.depth(a)
+
+
+def _evolving_index(rng, generations, size=8):
+    """Random births from a fixed-size population, ``retain`` after each
+    generation; yields the graph, the index and the survivors each time."""
+    g = GenealogyGraph()
+    index = AncestryIndex()
+    alive = []
+    for _ in range(size):
+        alive.append(g.record_birth((), OpKind.GENESIS, 0))
+        index.add(alive[-1], ())
+    for gen in range(1, generations + 1):
+        pool = list(alive)
+        for _ in range(int(rng.integers(1, 2 * size))):
+            roll = rng.random()
+            if roll < 0.1:
+                parents = ()
+            elif roll < 0.55:
+                parents = (alive[int(rng.integers(size))],)
+            else:
+                i, j = rng.choice(size, size=2, replace=False)
+                parents = (alive[int(i)], alive[int(j)])
+            kind = (OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION)[len(parents)]
+            pool.append(g.record_birth(parents, kind, gen))
+            index.add(pool[-1], parents)
+        alive = sorted(int(n) for n in rng.choice(pool, size=size, replace=False))
+        index.retain(alive)
+        yield g, index, alive
+
+
+def test_ancestry_index_matches_graph_under_retain():
+    rng = np.random.default_rng(16)
+    for g, index, alive in _evolving_index(rng, generations=60):
+        for x in alive:
+            assert index.depth(x) == g.depth(x)
+            expected = [g.gdist(x, o) for o in alive]
+            assert index.gdist_many(x, alive) == expected
+            assert [index.gdist(x, o) for o in alive] == expected
+        assert index.gdist_many(alive[0], []) == []
+
+
+def test_ancestry_index_columns_are_the_live_ancestry():
+    rng = np.random.default_rng(17)
+    for g, index, alive in _evolving_index(rng, generations=60):
+        ancestry = set()
+        for x in alive:
+            ancestry.update(g.ancestor_distances(x))
+        assert index.live_ancestry() == sorted(ancestry)
+    assert len(ancestry) < len(g)  # compaction did drop columns
 
 
 def test_ancestry_index_retain_keeps_alive_queries_working():
@@ -344,8 +408,25 @@ def test_ancestry_index_retain_keeps_alive_queries_working():
         index.gdist(3, 5)
 
 
+def test_ancestry_index_dropped_node_raises_key_error():
+    g = siblings()
+    index = AncestryIndex.from_graph(g)
+    index.retain([1, 2])
+    assert index.live_ancestry() == [0, 1, 2]  # 0 is dropped as a node, kept as a column
+    for query in (
+        lambda: index.gdist(0, 1),
+        lambda: index.gdist(1, 0),
+        lambda: index.gdist(0, 0),
+        lambda: index.gdist_many(0, [1, 2]),
+        lambda: index.gdist_many(1, [2, 0]),
+        lambda: index.depth(0),
+    ):
+        with pytest.raises(KeyError):
+            query()
+
+
 def test_ancestry_index_rejects_dropped_parent():
-    index = AncestryIndex(capacity=8)
+    index = AncestryIndex()
     index.add(0, ())
     index.retain([])
     with pytest.raises(KeyError):
