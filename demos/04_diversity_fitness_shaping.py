@@ -15,7 +15,6 @@ from genediv import (
     MetricKind,
     RoutingProblem,
     augmented_fitness,
-    make_distance_fn,
     run_evolution,
 )
 
@@ -45,14 +44,15 @@ print("plain run has no metric, so its probe column is 0 by definition)\n")
 # zoom in: shaped fitness of the final shaped population
 population = res_shaped.population
 graph = res_shaped.graph
-distance_fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph)
+distance_fn = lambda x, others: [graph.gdist(x.node, o.node) for o in others]
 rng = np.random.default_rng(0)
 config = shaped.diversity
 
 print("final population under the shaped run, one sampled evaluation each:")
 print(f"{'node':>6s} {'raw':>4s} {'shaped':>7s}   (shaped - raw = diversity bonus)")
-for ind in sorted(population, key=lambda i: -i.raw_fitness)[:8]:
-    s = augmented_fitness(ind, population, ind.raw_fitness, config, rng, distance_fn=distance_fn)
+for i in sorted(range(len(population)), key=lambda i: -population[i].raw_fitness)[:8]:
+    ind = population[i]
+    s = augmented_fitness(population, i, config, rng, distance_fn)
     print(f"{ind.node:>6d} {ind.raw_fitness:>4.0f} {s:>7.2f}")
 print("\nAn unusual lineage can out-rank a slightly fitter clone -- that is")
 print("the entire mechanism: hold the door open for genetic outsiders.")

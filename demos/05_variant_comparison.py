@@ -7,7 +7,7 @@ generations) is what `genediv run --config configs/experiment.cfg --out
 runs/` produces as CSV.
 """
 
-from genediv import DiversityConfig, EngineConfig, MetricKind, RoutingProblem, evolve
+from genediv import DiversityConfig, EngineConfig, MetricKind, RoutingProblem, run_evolution
 
 GENERATIONS = 400
 SEEDS = range(1000, 1004)
@@ -27,7 +27,7 @@ for name, kind, weight in VARIANTS:
         generations=GENERATIONS,
         diversity=DiversityConfig(kind=kind, weight=weight),
     )
-    traces = [evolve(config, problem, rng_seed=seed) for seed in SEEDS]
+    traces = [run_evolution(config, problem, seed=seed).trace for seed in SEEDS]
     curves[name] = [
         sum(trace[g].mean_raw_fitness for trace in traces) / len(traces)
         for g in range(GENERATIONS)

@@ -8,92 +8,33 @@ diverse populations.  A robot-routing benchmark and a CSV-emitting
 experiment harness are included for comparing the resulting algorithms.
 """
 
-from .diversity import (
-    DiversityConfig,
-    MetricKind,
-    augmented_fitness,
-    average_distance,
-    make_distance_fn,
-    sample_peers,
-)
-from .engine import (
-    EngineConfig,
-    Individual,
-    RunResult,
-    TraceRow,
-    evolve,
-    initialize,
-    run_evolution,
-    step_generation,
-    tournament_select,
-)
-from .genealogy import (
-    INFINITE,
-    AncestryIndex,
-    GenealogyGraph,
-    OpKind,
-    read_genealogy_log,
-    write_genealogy_log,
-)
-from .routing import (
-    DEFAULT_ARENA,
-    GENOME_LENGTH,
-    STEP_BUDGET,
-    Arena,
-    Rect,
-    RoutingProblem,
-    SimulationResult,
-    clamp_action,
-    crossover_genome,
-    domain_distance,
-    mutate_genome,
-    random_genome,
-    segment_crosses_interior,
-    simulate,
-)
-from .trash_genes import DEFAULT_TAU, flip_one_bit, random_trash, tdist, uniform_cross
+from .diversity import DiversityConfig, MetricKind, augmented_fitness
+from .engine import EngineConfig, run_evolution
+from .genealogy import GenealogyGraph, OpKind, read_genealogy_log
+from .routing import DEFAULT_ARENA, Arena, Rect, RoutingProblem, random_genome, simulate
+from .trash_genes import flip_one_bit, random_trash, tdist, uniform_cross
 
 __version__ = "0.1.0"
 
+# What the README, the demos and the benchmark import from the package;
+# everything else is imported from its submodule.
 __all__ = [
-    "AncestryIndex",
     "Arena",
     "DEFAULT_ARENA",
-    "DEFAULT_TAU",
     "DiversityConfig",
     "EngineConfig",
-    "GENOME_LENGTH",
     "GenealogyGraph",
-    "INFINITE",
-    "Individual",
     "MetricKind",
     "OpKind",
     "Rect",
     "RoutingProblem",
-    "RunResult",
-    "STEP_BUDGET",
-    "SimulationResult",
-    "TraceRow",
     "augmented_fitness",
-    "average_distance",
-    "clamp_action",
-    "crossover_genome",
-    "domain_distance",
-    "evolve",
     "flip_one_bit",
-    "initialize",
-    "make_distance_fn",
-    "mutate_genome",
     "random_genome",
     "random_trash",
     "read_genealogy_log",
     "run_evolution",
-    "sample_peers",
-    "segment_crosses_interior",
     "simulate",
-    "step_generation",
     "tdist",
-    "tournament_select",
     "uniform_cross",
-    "write_genealogy_log",
 ]

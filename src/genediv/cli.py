@@ -7,7 +7,8 @@ Subcommands::
     genediv dump-genealogy --config cfg --seed n --out file [--variant kind]
 
 Exit codes: 0 on success, 1 for configuration errors (the message names the
-offending key), 2 for I/O errors.
+offending key), 2 for I/O errors.  Any other exception is a fault and
+propagates.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .config import (
     build_problem,
     lambda_grid,
     load_config,
+    parse_metric_kind,
     seeds_from,
     variant_weight,
 )
@@ -38,14 +40,6 @@ from .experiment import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
-
-
-def _parse_metric(key: str, name: str) -> MetricKind:
-    try:
-        return MetricKind(name)
-    except ValueError:
-        valid = ", ".join(k.value for k in MetricKind)
-        raise ConfigError(key, f"unknown metric kind {name!r} (expected one of: {valid})") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -72,9 +66,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    kind = _parse_metric("metric", args.metric)
+    kind = parse_metric_kind("metric", args.metric)
     if kind is MetricKind.NONE:
         raise ConfigError("metric", "grid search needs a diversity metric, not 'none'")
+    if cfg["engine.generations"] < 1:
+        raise ConfigError("engine.generations", "grid search needs at least one generation")
     spec = GridSpec(
         kind=kind,
         lambda_values=list(lambda_grid(cfg, kind)),
@@ -96,7 +92,9 @@ def _cmd_dump_genealogy(args: argparse.Namespace) -> int:
     if args.variant is None:
         kind = cfg["run.variants"][0]
     else:
-        kind = _parse_metric("variant", args.variant)
+        kind = parse_metric_kind("variant", args.variant)
+    if args.seed < 0:
+        raise ConfigError("seed", f"expected an integer >= 0, got {args.seed}")
     engine = build_engine_config(cfg, kind)
     path = dump_genealogy(engine, build_problem(cfg), args.seed, args.out)
     print(f"wrote {path}")
@@ -136,9 +134,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -110,7 +110,8 @@ def _parse_step_norm(key: str, text: str) -> str:
     return text
 
 
-def _parse_metric_kind(key: str, text: str) -> MetricKind:
+def parse_metric_kind(key: str, text: str) -> MetricKind:
+    """Parse a metric kind name, raising a :class:`ConfigError` for ``key``."""
     try:
         return MetricKind(text)
     except ValueError:
@@ -122,7 +123,7 @@ def _parse_variants(key: str, text: str) -> tuple[MetricKind, ...]:
     names = text.split()
     if not names:
         raise ConfigError(key, "expected at least one variant name")
-    kinds = tuple(_parse_metric_kind(key, name) for name in names)
+    kinds = tuple(parse_metric_kind(key, name) for name in names)
     if len(set(kinds)) != len(kinds):
         raise ConfigError(key, f"variant names must be unique, got {text!r}")
     return kinds
@@ -142,7 +143,7 @@ def _parse_lambda_grid(key: str, text: str) -> tuple[float, ...]:
 # key -> (parser taking (key, raw-string), default raw-string)
 _SCHEMA: dict[str, tuple] = {
     "run.variants": (_parse_variants, "none domain genealogical_tree trash_bits"),
-    "run.base_seed": (_parse_int, "1000"),
+    "run.base_seed": (_parse_nonneg_int, "1000"),
     "run.num_seeds": (_parse_positive_int, "10"),
     "engine.population_size": (_parse_positive_int, "20"),
     "engine.generations": (_parse_nonneg_int, "1000"),
@@ -180,6 +181,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found") from None
+    except UnicodeDecodeError:
+        raise ConfigError(str(path), "config file is not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -247,18 +250,9 @@ def build_engine_config(
         diversity=DiversityConfig(
             kind=kind, weight=weight, sample_size=cfg["diversity.sample_size"]
         ),
-        rng_seed=cfg["run.base_seed"],
     )
-    if engine.population_size <= engine.immigrants_per_gen:
-        raise ConfigError(
-            "engine.immigrants_per_gen",
-            f"must be smaller than engine.population_size "
-            f"({engine.immigrants_per_gen} >= {engine.population_size})",
-        )
     try:
         engine.validate()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError("engine", str(exc)) from None
     return engine

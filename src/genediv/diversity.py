@@ -11,9 +11,8 @@ Three interchangeable distance metrics are provided:
   genealogy (how far back the latest common ancestor sits).
 * ``trash_bits`` -- normalised Hamming distance between neutral bit markers.
 
-The ``none`` kind (or a zero weight) disables shaping entirely and, by
-design, consumes no random numbers, so a disabled run is step-for-step
-identical to one that never heard of diversity.
+With the ``none`` kind or a zero weight shaping is inert: the engine then
+uses raw fitness directly and draws no peers (see :mod:`genediv.engine`).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .genealogy import AncestryIndex, GenealogyGraph
+from .genealogy import AncestryIndex
 from .routing import domain_distance
 from .trash_genes import tdist
 
@@ -63,16 +62,12 @@ DistanceFn = Callable[[object, Sequence], list[float]]
 """``fn(x, others)``: the distance from ``x`` to each of ``others``, in order."""
 
 
-def make_distance_fn(
-    kind: MetricKind,
-    graph: GenealogyGraph | None = None,
-    index: AncestryIndex | None = None,
-) -> DistanceFn | None:
+def make_distance_fn(kind: MetricKind, index: AncestryIndex | None = None) -> DistanceFn | None:
     """Return an x-versus-peers distance over individuals, or ``None`` for ``NONE``.
 
     Individuals only need ``genome`` / ``trash`` / ``node`` attributes.  The
-    genealogical metric reads from ``index`` when given (one batched query
-    per call), otherwise from ``graph``.
+    genealogical metric asks ``index`` one batched query per call and needs
+    every queried node to be tracked there.
     """
     if kind is MetricKind.NONE:
         return None
@@ -81,11 +76,9 @@ def make_distance_fn(
     if kind is MetricKind.TRASH_BITS:
         return lambda x, others: [tdist(x.trash, o.trash) for o in others]
     if kind is MetricKind.GENEALOGICAL_TREE:
-        if index is not None:
-            return lambda x, others: index.gdist_many(x.node, [o.node for o in others])
-        if graph is None:
-            raise ValueError("genealogical metric needs a genealogy graph or ancestry index")
-        return lambda x, others: [graph.gdist(x.node, o.node) for o in others]
+        if index is None:
+            raise ValueError("genealogical metric needs an ancestry index")
+        return lambda x, others: index.gdist_many(x.node, [o.node for o in others])
     raise ValueError(f"unknown diversity metric kind: {kind!r}")
 
 
@@ -111,61 +104,22 @@ def draw_distinct_indices(
     return picked
 
 
-def sample_peers(
-    population: Sequence, x: object, size: int, rng: np.random.Generator
-) -> list:
-    """Draw up to ``size`` distinct members of ``population`` other than ``x``.
-
-    ``x`` is matched by object identity; if the population is too small the
-    sample is simply every other member.
-    """
-    n = len(population)
-    exclude = -1
-    for i, member in enumerate(population):
-        if member is x:
-            exclude = i
-            break
-    available = n - (1 if exclude >= 0 else 0)
-    k = min(size, available)
-    return [population[i] for i in draw_distinct_indices(rng, n, k, exclude)]
-
-
-def average_distance(
-    x: object,
-    sample: Sequence,
-    kind: MetricKind,
-    graph: GenealogyGraph | None = None,
-    distance_fn: DistanceFn | None = None,
-) -> float:
-    """Mean distance from ``x`` to each member of ``sample`` under ``kind``."""
-    if len(sample) == 0:
-        raise ValueError("cannot average distances over an empty sample")
-    fn = distance_fn if distance_fn is not None else make_distance_fn(kind, graph)
-    if fn is None:
-        return 0.0
-    return sum(fn(x, sample)) / len(sample)
-
-
 def augmented_fitness(
-    x: object,
-    population: Sequence,
-    raw_fitness: float,
+    pool: Sequence,
+    i: int,
     config: DiversityConfig,
     rng: np.random.Generator,
-    graph: GenealogyGraph | None = None,
-    distance_fn: DistanceFn | None = None,
+    distance_fn: DistanceFn,
 ) -> float:
-    """Raw fitness plus the weighted mean distance to freshly drawn peers.
+    """Raw fitness of ``pool[i]`` plus the weighted mean distance to fresh peers.
 
-    With the ``none`` kind or a zero weight this returns the raw fitness
-    without touching ``rng`` at all, which keeps disabled runs bit-identical
-    to plain ones.
+    The peers are ``min(config.sample_size, len(pool) - 1)`` distinct other
+    members of ``pool``, drawn from ``rng``; with no other member the raw
+    fitness comes back unchanged.
     """
-    if config.kind is MetricKind.NONE or config.weight == 0.0:
-        return float(raw_fitness)
-    peers = sample_peers(population, x, config.sample_size, rng)
-    if not peers:
-        return float(raw_fitness)
-    fn = distance_fn if distance_fn is not None else make_distance_fn(config.kind, graph)
-    mean_dist = sum(fn(x, peers)) / len(peers)
-    return float(raw_fitness + config.weight * mean_dist)
+    x = pool[i]
+    k = min(config.sample_size, len(pool) - 1)
+    if k == 0:
+        return float(x.raw_fitness)
+    peers = [pool[j] for j in draw_distinct_indices(rng, len(pool), k, exclude=i)]
+    return float(x.raw_fitness + config.weight * (sum(distance_fn(x, peers)) / k))

@@ -26,14 +26,17 @@ per generation: mutation gates (one uniform per member), per-mutant draws,
 crossover gates, then per-recombination draws (tournament candidates, any
 peer samples for shaped fitness, genome mask, trash mask), immigrant draws,
 peer samples for the pooled shaped evaluation in pool order, and finally
-the probe-sample indices for the trace row.  The probe indices are drawn
-for every metric kind -- including ``none`` -- so runs that differ only in
-an inert diversity setting (zero weight) replay the exact same evolution.
+the probe-sample indices for the trace row.  Shaping with the ``none``
+kind or a zero weight is inert: shaped fitness is then the raw fitness and
+no peers are drawn.  The probe indices, in contrast, are drawn for every
+metric kind -- including ``none`` -- so runs that differ only in an inert
+diversity setting replay the exact same evolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -73,7 +76,6 @@ class EngineConfig:
     immigrants_per_gen: int = 2
     tau: int = 32
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
-    rng_seed: int = 0
 
     def validate(self) -> None:
         if self.population_size < 1:
@@ -145,13 +147,13 @@ def initialize(
 def tournament_select(
     pool: list[Individual],
     k: int,
-    fitness_fn,
+    fitness_fn: Callable[[int], float],
     rng: np.random.Generator,
 ) -> Individual:
     """Draw ``min(k, len(pool))`` distinct candidates; return the fittest.
 
     Ties go to the smaller node id.  ``fitness_fn`` is called once per
-    candidate, in draw order.
+    candidate with its index in ``pool``, in draw order.
     """
     if not pool:
         raise ValueError("tournament pool must not be empty")
@@ -160,7 +162,7 @@ def tournament_select(
     best_score = 0.0
     for j in draw_distinct_indices(rng, len(pool), k):
         candidate = pool[j]
-        score = fitness_fn(candidate)
+        score = fitness_fn(j)
         if (
             best is None
             or score > best_score
@@ -186,7 +188,8 @@ def step_generation(
 
     ``generation`` stamps the birth generation of every child created here.
     ``ancestry_index``, when given, is kept in sync with new births (callers
-    should ``retain`` the survivors afterwards).  ``registry`` collects every
+    should ``retain`` the survivors afterwards); genealogical shaping reads
+    its distances there, so it needs one.  ``registry`` collects every
     individual ever created, for offline analysis.
     """
     n = len(population)
@@ -194,15 +197,13 @@ def step_generation(
         raise ValueError(f"expected population of {config.population_size}, got {n}")
     div = config.diversity
     if div.kind is MetricKind.NONE or div.weight == 0.0:
-        # Inert shaping: augmented_fitness would hand back the raw fitness
-        # without drawing from rng, so skip the call.
-        def shaped(x: Individual, peers: list[Individual]) -> float:
-            return x.raw_fitness
+        def shaped(pool: list[Individual], i: int) -> float:
+            return pool[i].raw_fitness
     else:
-        distance_fn = make_distance_fn(div.kind, graph, ancestry_index)
+        distance_fn = make_distance_fn(div.kind, ancestry_index)
 
-        def shaped(x: Individual, peers: list[Individual]) -> float:
-            return augmented_fitness(x, peers, x.raw_fitness, div, rng, distance_fn=distance_fn)
+        def shaped(pool: list[Individual], i: int) -> float:
+            return augmented_fitness(pool, i, div, rng, distance_fn)
 
     def spawn(parents: tuple[int, ...], kind: OpKind, genome, trash) -> Individual:
         node = graph.record_birth(parents, kind, generation)
@@ -235,8 +236,9 @@ def step_generation(
             others = population[:i] + population[i + 1 :]
             if not others:
                 continue
+            # others[j] is population[j + (j >= i)]; its peers come from population.
             partner = tournament_select(
-                others, config.tournament_size, lambda c: shaped(c, population), rng
+                others, config.tournament_size, lambda j: shaped(population, j + (j >= i)), rng
             )
             offspring.append(
                 spawn(
@@ -253,7 +255,7 @@ def step_generation(
         )
 
     pool = population + offspring
-    scores = [shaped(x, pool) for x in pool]
+    scores = [shaped(pool, j) for j in range(len(pool))]
     order = sorted(range(len(pool)), key=lambda j: (-scores[j], pool[j].node))
     return [pool[j] for j in order[: config.population_size]]
 
@@ -305,24 +307,25 @@ def _trace_row(
 def run_evolution(
     config: EngineConfig,
     problem: RoutingProblem | None = None,
-    seed: int | None = None,
+    *,
+    seed: int,
     keep_all: bool = False,
 ) -> RunResult:
     """Run a full evolution and return trace, genealogy, and final population.
 
-    ``seed`` overrides ``config.rng_seed``.  With ``keep_all`` every
+    ``seed`` seeds the run's single random stream.  With ``keep_all`` every
     individual ever created is retained in ``RunResult.individuals``.
     """
     config.validate()
     if problem is None:
         problem = RoutingProblem()
-    rng = np.random.default_rng(config.rng_seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     population, graph = initialize(config, rng, problem)
     index = None
     if config.diversity.kind is MetricKind.GENEALOGICAL_TREE:
         index = AncestryIndex.from_graph(graph)
     registry = {ind.node: ind for ind in population} if keep_all else None
-    distance_fn = make_distance_fn(config.diversity.kind, graph, index)
+    distance_fn = make_distance_fn(config.diversity.kind, index)
     trace: list[TraceRow] = []
     for gen in range(1, config.generations + 1):
         population = step_generation(
@@ -339,12 +342,3 @@ def run_evolution(
             index.retain(ind.node for ind in population)
         trace.append(_trace_row(gen, population, distance_fn, rng))
     return RunResult(trace=trace, graph=graph, population=population, individuals=registry)
-
-
-def evolve(
-    config: EngineConfig,
-    problem: RoutingProblem | None = None,
-    rng_seed: int | None = None,
-) -> list[TraceRow]:
-    """Run a full evolution and return just the per-generation trace."""
-    return run_evolution(config, problem, seed=rng_seed).trace

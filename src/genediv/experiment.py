@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .diversity import DiversityConfig, MetricKind
-from .engine import EngineConfig, TraceRow, evolve, run_evolution
+from .engine import EngineConfig, TraceRow, run_evolution
 from .genealogy import write_genealogy_log
 from .routing import RoutingProblem
 
@@ -66,10 +66,6 @@ class ExperimentSpec:
     engine: EngineConfig
     problem: RoutingProblem
     output_path: Path
-
-    @property
-    def arena(self):
-        return self.problem.arena
 
     def validate(self) -> None:
         if not self.variants:
@@ -113,7 +109,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         per_seed: list[list[TraceRow]] = []
         raw_lines = [RAW_HEADER]
         for seed in spec.seeds:
-            rows = evolve(engine, spec.problem, rng_seed=seed)
+            rows = run_evolution(engine, spec.problem, seed=seed).trace
             traces[(name, seed)] = rows
             per_seed.append(rows)
             for row in rows:
@@ -187,7 +183,7 @@ def grid_search(spec: GridSpec) -> GridResult:
     for lam in spec.lambda_values:
         engine = _engine_for(spec.engine, spec.kind, lam)
         finals = [
-            evolve(engine, spec.problem, rng_seed=seed)[-1].mean_raw_fitness
+            run_evolution(engine, spec.problem, seed=seed).trace[-1].mean_raw_fitness
             for seed in spec.seeds
         ]
         mean, std = _mean_std(finals)

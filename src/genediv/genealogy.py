@@ -75,10 +75,6 @@ class GenealogyGraph:
     def __len__(self) -> int:
         return len(self._parents)
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._parents)
-
     def nodes(self) -> range:
         """All node ids, in birth order."""
         return range(len(self._parents))
@@ -120,9 +116,6 @@ class GenealogyGraph:
 
     def parents(self, node: int) -> tuple[int, ...]:
         return self._parents[self._check(node)]
-
-    def children(self, node: int) -> tuple[int, ...]:
-        return tuple(self._children[self._check(node)])
 
     def kind(self, node: int) -> OpKind:
         return self._kinds[self._check(node)]

@@ -229,9 +229,6 @@ class RoutingProblem:
     def crossover(self, g1: np.ndarray, g2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return crossover_genome(g1, g2, rng)
 
-    def distance(self, g1: np.ndarray, g2: np.ndarray) -> float:
-        return domain_distance(g1, g2)
-
     def simulate(self, genome: np.ndarray) -> SimulationResult:
         return simulate(genome, self.arena, self.step_norm)
 

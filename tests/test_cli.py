@@ -1,5 +1,6 @@
-from pathlib import Path
+import pytest
 
+import genediv.cli
 from genediv.cli import main
 from genediv import read_genealogy_log
 
@@ -114,3 +115,43 @@ def test_dump_genealogy_variant_flag(tmp_path):
     ])
     assert rc == 0
     assert out.exists()
+
+
+def test_grid_zero_generations_names_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_CFG + "engine.generations = 0\n")
+    out = tmp_path / "o"
+    assert main(["grid", "--config", cfg, "--metric", "trash_bits", "--out", str(out)]) == 1
+    assert "engine.generations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_base_seed_names_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_CFG + "run.base_seed = -3\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "run.base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dump_genealogy_negative_seed_names_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "genealogy.log"
+    assert main(["dump-genealogy", "--config", cfg, "--seed", "-1", "--out", str(out)]) == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"engine.generations = \xff\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_internal_value_error_propagates(tmp_path, monkeypatch):
+    def broken(spec):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(genediv.cli, "run_experiment", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")])

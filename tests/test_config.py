@@ -143,7 +143,6 @@ def test_build_engine_config_per_variant():
     engine = build_engine_config(cfg, MetricKind.TRASH_BITS)
     assert engine.diversity.kind is MetricKind.TRASH_BITS
     assert engine.diversity.weight == variant_weight(cfg, MetricKind.TRASH_BITS)
-    assert engine.rng_seed == cfg["run.base_seed"]
 
     baseline = build_engine_config(cfg)
     assert baseline.diversity.kind is MetricKind.NONE

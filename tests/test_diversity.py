@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
-from genediv import (
-    AncestryIndex,
+from genediv.diversity import (
     DiversityConfig,
-    GenealogyGraph,
-    Individual,
     MetricKind,
-    OpKind,
     augmented_fitness,
-    average_distance,
-    domain_distance,
+    draw_distinct_indices,
     make_distance_fn,
-    sample_peers,
-    tdist,
 )
-from genediv.diversity import draw_distinct_indices
+from genediv.engine import Individual
+from genediv.genealogy import AncestryIndex, GenealogyGraph, OpKind
+from genediv.routing import domain_distance
+from genediv.trash_genes import tdist
 
 
 def make_population(rng, size=6, graph=None):
@@ -64,24 +60,6 @@ def test_draw_distinct_indices_is_deterministic():
     assert a == b
 
 
-def test_sample_peers_excludes_self_by_identity():
-    rng = np.random.default_rng(35)
-    population = make_population(rng)
-    x = population[2]
-    for _ in range(50):
-        peers = sample_peers(population, x, 5, rng)
-        assert len(peers) == 5
-        assert all(p is not x for p in peers)
-
-
-def test_sample_peers_caps_at_population_size():
-    rng = np.random.default_rng(36)
-    population = make_population(rng, size=3)
-    peers = sample_peers(population, population[0], 5, rng)
-    assert len(peers) == 2
-    assert sample_peers([population[0]], population[0], 5, rng) == []
-
-
 # ----------------------------------------------------------------------
 # metric dispatch
 # ----------------------------------------------------------------------
@@ -100,11 +78,9 @@ def test_make_distance_fn_dispatch():
     assert make_distance_fn(MetricKind.TRASH_BITS)(a, others) == [
         tdist(a.trash, o.trash) for o in others
     ]
-    fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph)
+    fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, AncestryIndex.from_graph(graph))
     assert fn(a, [b]) == [graph.gdist(a.node, b.node)] == [1.0]
     assert fn(a, []) == []
-    index = AncestryIndex.from_graph(graph)
-    fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph, index)
     assert fn(a, others) == [graph.gdist(a.node, o.node) for o in others]
 
 
@@ -113,36 +89,16 @@ def test_make_distance_fn_requires_genealogy_source():
         make_distance_fn(MetricKind.GENEALOGICAL_TREE)
 
 
-def test_average_distance():
-    rng = np.random.default_rng(38)
-    population = make_population(rng)
-    x, rest = population[0], population[1:4]
-    expected = sum(domain_distance(x.genome, p.genome) for p in rest) / 3
-    assert average_distance(x, rest, MetricKind.DOMAIN) == expected
-    batched = make_distance_fn(MetricKind.DOMAIN)
-    assert average_distance(x, rest, MetricKind.DOMAIN, distance_fn=batched) == expected
-    assert average_distance(x, rest, MetricKind.NONE) == 0.0
-    with pytest.raises(ValueError):
-        average_distance(x, [], MetricKind.DOMAIN)
-
-
 # ----------------------------------------------------------------------
 # fitness shaping
 # ----------------------------------------------------------------------
 
-def test_augmented_fitness_disabled_consumes_no_randomness():
-    rng = np.random.default_rng(39)
-    population = make_population(rng)
-    x = population[0]
-    for config in (
-        DiversityConfig(MetricKind.NONE, 0.0),
-        DiversityConfig(MetricKind.DOMAIN, 0.0),
-        DiversityConfig(MetricKind.TRASH_BITS, 0.0),
-    ):
-        state_before = rng.bit_generator.state
-        value = augmented_fitness(x, population, x.raw_fitness, config, rng)
-        assert value == x.raw_fitness
-        assert rng.bit_generator.state == state_before
+def recording_distance(seen):
+    """A distance of 1 to every peer that notes which peers it was asked about."""
+    def fn(x, others):
+        seen.append([o.node for o in others])
+        return [1.0] * len(others)
+    return fn
 
 
 def test_augmented_fitness_adds_weighted_mean_distance():
@@ -150,20 +106,48 @@ def test_augmented_fitness_adds_weighted_mean_distance():
     population = make_population(rng)
     x = population[0]
     config = DiversityConfig(MetricKind.DOMAIN, weight=2.0, sample_size=3)
+    distance_fn = make_distance_fn(MetricKind.DOMAIN)
 
-    shaped = augmented_fitness(x, population, x.raw_fitness, config, np.random.default_rng(7))
-    peers = sample_peers(population, x, 3, np.random.default_rng(7))
+    shaped = augmented_fitness(population, 0, config, np.random.default_rng(7), distance_fn)
+    picked = draw_distinct_indices(np.random.default_rng(7), len(population), 3, exclude=0)
     expected = x.raw_fitness + 2.0 * (
-        sum(domain_distance(x.genome, p.genome) for p in peers) / 3
+        sum(domain_distance(x.genome, population[j].genome) for j in picked) / 3
     )
-    assert shaped == pytest.approx(expected)
+    assert shaped == expected
+
+
+def test_augmented_fitness_excludes_self_by_index():
+    rng = np.random.default_rng(35)
+    population = make_population(rng)
+    config = DiversityConfig(MetricKind.DOMAIN, weight=1.0, sample_size=5)
+    seen = []
+    for _ in range(50):
+        augmented_fitness(population, 2, config, rng, recording_distance(seen))
+    for peers in seen:
+        assert len(peers) == len(set(peers)) == 5
+        assert population[2].node not in peers
+    assert len(seen) == 50
+
+
+def test_augmented_fitness_caps_peers_at_pool_size():
+    rng = np.random.default_rng(36)
+    population = make_population(rng, size=3)
+    config = DiversityConfig(MetricKind.DOMAIN, weight=0.5, sample_size=5)
+    seen = []
+    shaped = augmented_fitness(population, 0, config, rng, recording_distance(seen))
+    assert sorted(seen[0]) == [population[1].node, population[2].node]
+    assert shaped == population[0].raw_fitness + 0.5
 
 
 def test_augmented_fitness_lonely_individual_gets_raw():
     rng = np.random.default_rng(41)
     population = make_population(rng, size=1)
     config = DiversityConfig(MetricKind.DOMAIN, weight=1.0)
-    assert augmented_fitness(population[0], population, 4.0, config, rng) == 4.0
+    state_before = rng.bit_generator.state
+    seen = []
+    assert augmented_fitness(population, 0, config, rng, recording_distance(seen)) == 0.0
+    assert seen == []
+    assert rng.bit_generator.state == state_before
 
 
 def test_diversity_config_validation():

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from genediv import (
-    AncestryIndex,
-    DiversityConfig,
+from genediv.diversity import DiversityConfig, MetricKind
+from genediv.engine import (
     EngineConfig,
     Individual,
-    MetricKind,
-    OpKind,
-    RoutingProblem,
-    evolve,
     initialize,
     run_evolution,
     step_generation,
     tournament_select,
 )
+from genediv.genealogy import AncestryIndex, OpKind
+from genediv.routing import RoutingProblem
 
 PROBLEM = RoutingProblem()
 
@@ -77,28 +74,28 @@ def _individual(node, fitness):
 
 def test_tournament_single_member_pool():
     rng = np.random.default_rng(53)
-    only = _individual(0, 1.0)
-    assert tournament_select([only], 2, lambda c: c.raw_fitness, rng) is only
+    pool = [_individual(0, 1.0)]
+    assert tournament_select(pool, 2, lambda j: pool[j].raw_fitness, rng) is pool[0]
 
 
 def test_tournament_picks_higher_fitness():
     rng = np.random.default_rng(54)
     pool = [_individual(0, 5.0), _individual(1, 3.0)]
     for _ in range(20):
-        assert tournament_select(pool, 2, lambda c: c.raw_fitness, rng).node == 0
+        assert tournament_select(pool, 2, lambda j: pool[j].raw_fitness, rng).node == 0
 
 
 def test_tournament_tie_goes_to_smaller_node_id():
     rng = np.random.default_rng(55)
     pool = [_individual(3, 5.0), _individual(1, 5.0), _individual(2, 5.0)]
     for _ in range(20):
-        assert tournament_select(pool, 3, lambda c: c.raw_fitness, rng).node == 1
+        assert tournament_select(pool, 3, lambda j: pool[j].raw_fitness, rng).node == 1
 
 
 def test_tournament_rejects_empty_pool():
     rng = np.random.default_rng(56)
     with pytest.raises(ValueError):
-        tournament_select([], 2, lambda c: 0.0, rng)
+        tournament_select([], 2, lambda j: 0.0, rng)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +137,7 @@ def test_step_rejects_wrong_population_size():
 def test_recombination_children_inherit_trash_bitwise():
     rng = np.random.default_rng(60)
     config = small_config(generations=30)
-    result = run_evolution(config, PROBLEM, keep_all=True)
+    result = run_evolution(config, PROBLEM, seed=0, keep_all=True)
     recombinations = [
         node for node in result.graph.nodes()
         if result.graph.kind(node) is OpKind.RECOMBINATION
@@ -166,9 +163,9 @@ def test_graph_growth_respects_upper_bound():
 # full runs
 # ----------------------------------------------------------------------
 
-def test_evolve_trace_shape_and_bounds():
+def test_run_evolution_trace_shape_and_bounds():
     config = small_config(generations=40)
-    trace = evolve(config, PROBLEM, rng_seed=62)
+    trace = run_evolution(config, PROBLEM, seed=62).trace
     assert len(trace) == 40
     assert [row.generation for row in trace] == list(range(1, 41))
     for row in trace:
@@ -178,11 +175,11 @@ def test_evolve_trace_shape_and_bounds():
         assert row.best_genome.shape == (10, 2)
 
 
-def test_evolve_is_deterministic():
+def test_run_evolution_is_deterministic():
     config = small_config(generations=30,
                           diversity=DiversityConfig(MetricKind.TRASH_BITS, 1.0))
-    a = evolve(config, PROBLEM, rng_seed=63)
-    b = evolve(config, PROBLEM, rng_seed=63)
+    a = run_evolution(config, PROBLEM, seed=63).trace
+    b = run_evolution(config, PROBLEM, seed=63).trace
     for ra, rb in zip(a, b):
         assert ra.generation == rb.generation
         assert ra.mean_raw_fitness == rb.mean_raw_fitness
@@ -191,10 +188,10 @@ def test_evolve_is_deterministic():
         assert np.array_equal(ra.best_genome, rb.best_genome)
 
 
-def test_evolve_seed_changes_outcome():
+def test_run_evolution_seed_changes_outcome():
     config = small_config(generations=30)
-    a = evolve(config, PROBLEM, rng_seed=64)
-    b = evolve(config, PROBLEM, rng_seed=65)
+    a = run_evolution(config, PROBLEM, seed=64).trace
+    b = run_evolution(config, PROBLEM, seed=65).trace
     assert any(
         ra.mean_raw_fitness != rb.mean_raw_fitness or not np.array_equal(ra.best_genome, rb.best_genome)
         for ra, rb in zip(a, b)
@@ -204,7 +201,7 @@ def test_evolve_seed_changes_outcome():
 def test_best_fitness_monotone_without_shaping():
     # truncation on raw fitness never discards the incumbent best
     config = EngineConfig(generations=120)
-    trace = evolve(config, PROBLEM, rng_seed=66)
+    trace = run_evolution(config, PROBLEM, seed=66).trace
     best = [row.best_raw_fitness for row in trace]
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -213,8 +210,8 @@ def test_zero_weight_variant_replays_baseline_evolution():
     baseline = small_config(generations=40)
     for kind in (MetricKind.DOMAIN, MetricKind.TRASH_BITS, MetricKind.GENEALOGICAL_TREE):
         variant = small_config(generations=40, diversity=DiversityConfig(kind, 0.0))
-        rows_a = evolve(baseline, PROBLEM, rng_seed=67)
-        rows_b = evolve(variant, PROBLEM, rng_seed=67)
+        rows_a = run_evolution(baseline, PROBLEM, seed=67).trace
+        rows_b = run_evolution(variant, PROBLEM, seed=67).trace
         for ra, rb in zip(rows_a, rows_b):
             assert ra.mean_raw_fitness == rb.mean_raw_fitness
             assert ra.best_raw_fitness == rb.best_raw_fitness
@@ -224,13 +221,13 @@ def test_zero_weight_variant_replays_baseline_evolution():
 def test_probe_column_reflects_metric_kind():
     config = small_config(generations=15,
                           diversity=DiversityConfig(MetricKind.TRASH_BITS, 1.0))
-    trace = evolve(config, PROBLEM, rng_seed=68)
+    trace = run_evolution(config, PROBLEM, seed=68).trace
     assert any(row.mean_probe_diversity > 0.0 for row in trace)
     for row in trace:
         assert 0.0 <= row.mean_probe_diversity <= 1.0
 
     baseline = small_config(generations=15)
-    for row in evolve(baseline, PROBLEM, rng_seed=68):
+    for row in run_evolution(baseline, PROBLEM, seed=68).trace:
         assert row.mean_probe_diversity == 0.0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genediv import (
+from genediv.genealogy import (
     INFINITE,
     AncestryIndex,
     GenealogyGraph,

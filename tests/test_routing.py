@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genediv import (
+from genediv.routing import (
     DEFAULT_ARENA,
     GENOME_LENGTH,
     Arena,
