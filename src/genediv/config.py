@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .diversity import DiversityConfig, MetricKind
+from .diversity import DiversityConfig, MetricKind, SettingError
 from .engine import EngineConfig
 from .routing import STEP_NORMS, Arena, Rect, RoutingProblem
 
@@ -253,8 +253,10 @@ def build_engine_config(
     )
     try:
         engine.validate()
-    except ValueError as exc:
-        raise ConfigError("engine", str(exc)) from None
+    except SettingError as exc:
+        # Every other field is set by the engine key of the same name.
+        diversity_keys = {"weight": f"lambda.{kind.value}", "sample_size": "diversity.sample_size"}
+        raise ConfigError(diversity_keys.get(exc.field, f"engine.{exc.field}"), str(exc)) from None
     return engine
 
 

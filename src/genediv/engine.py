@@ -26,15 +26,19 @@ per generation: mutation gates (one uniform per member), per-mutant draws,
 crossover gates, then per-recombination draws (tournament candidates, any
 peer samples for shaped fitness, genome mask, trash mask), immigrant draws,
 peer samples for the pooled shaped evaluation in pool order, and finally
-the probe-sample indices for the trace row.  Shaping with the ``none``
-kind or a zero weight is inert: shaped fitness is then the raw fitness and
-no peers are drawn.  The probe indices, in contrast, are drawn for every
-metric kind -- including ``none`` -- so runs that differ only in an inert
-diversity setting replay the exact same evolution.
+the probe-sample indices for the trace row.  The pooled evaluation is one
+:func:`~genediv.diversity.augmented_fitness` call whose peer plan consumes
+the stream exactly as one draw per pool member would, so the order above
+holds.  Shaping with the ``none`` kind or a zero weight is inert: shaped
+fitness is then the raw fitness and no peers are drawn.  The probe indices,
+in contrast, are drawn for every metric kind -- including ``none`` -- so
+runs that differ only in an inert diversity setting replay the exact same
+evolution.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,6 +47,7 @@ import numpy as np
 from .diversity import (
     DiversityConfig,
     MetricKind,
+    SettingError,
     augmented_fitness,
     draw_distinct_indices,
     make_distance_fn,
@@ -78,25 +83,34 @@ class EngineConfig:
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
     def validate(self) -> None:
+        """Raise a :class:`SettingError` naming the first field out of range."""
         if self.population_size < 1:
-            raise ValueError(f"population_size must be >= 1, got {self.population_size}")
+            raise SettingError(
+                "population_size", f"population_size must be >= 1, got {self.population_size}"
+            )
         if self.generations < 0:
-            raise ValueError(f"generations must be >= 0, got {self.generations}")
+            raise SettingError("generations", f"generations must be >= 0, got {self.generations}")
         for name in ("mutation_prob", "crossover_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+                raise SettingError(name, f"{name} must be in [0, 1], got {p}")
         if self.tournament_size < 1:
-            raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
+            raise SettingError(
+                "tournament_size", f"tournament_size must be >= 1, got {self.tournament_size}"
+            )
         if self.immigrants_per_gen < 0:
-            raise ValueError(f"immigrants_per_gen must be >= 0, got {self.immigrants_per_gen}")
+            raise SettingError(
+                "immigrants_per_gen",
+                f"immigrants_per_gen must be >= 0, got {self.immigrants_per_gen}",
+            )
         if self.population_size <= self.immigrants_per_gen:
-            raise ValueError(
+            raise SettingError(
+                "immigrants_per_gen",
                 "population_size must exceed immigrants_per_gen "
-                f"({self.population_size} <= {self.immigrants_per_gen})"
+                f"({self.population_size} <= {self.immigrants_per_gen})",
             )
         if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+            raise SettingError("tau", f"tau must be >= 1, got {self.tau}")
         self.diversity.validate()
 
 
@@ -191,19 +205,22 @@ def step_generation(
     should ``retain`` the survivors afterwards); genealogical shaping reads
     its distances there, so it needs one.  ``registry`` collects every
     individual ever created, for offline analysis.
+
+    Shaped fitness takes one :func:`augmented_fitness` call per tournament
+    candidate and one for the whole pool.
     """
     n = len(population)
     if n != config.population_size:
         raise ValueError(f"expected population of {config.population_size}, got {n}")
     div = config.diversity
     if div.kind is MetricKind.NONE or div.weight == 0.0:
-        def shaped(pool: list[Individual], i: int) -> float:
-            return pool[i].raw_fitness
+        def shaped(pool: list[Individual], indices) -> list[float]:
+            return [pool[i].raw_fitness for i in indices]
     else:
         distance_fn = make_distance_fn(div.kind, ancestry_index)
 
-        def shaped(pool: list[Individual], i: int) -> float:
-            return augmented_fitness(pool, i, div, rng, distance_fn)
+        def shaped(pool: list[Individual], indices) -> list[float]:
+            return augmented_fitness(pool, indices, div, rng, distance_fn)
 
     def spawn(parents: tuple[int, ...], kind: OpKind, genome, trash) -> Individual:
         node = graph.record_birth(parents, kind, generation)
@@ -238,7 +255,7 @@ def step_generation(
                 continue
             # others[j] is population[j + (j >= i)]; its peers come from population.
             partner = tournament_select(
-                others, config.tournament_size, lambda j: shaped(population, j + (j >= i)), rng
+                others, config.tournament_size, lambda j: shaped(population, [j + (j >= i)])[0], rng
             )
             offspring.append(
                 spawn(
@@ -255,7 +272,7 @@ def step_generation(
         )
 
     pool = population + offspring
-    scores = [shaped(pool, j) for j in range(len(pool))]
+    scores = shaped(pool, range(len(pool)))
     order = sorted(range(len(pool)), key=lambda j: (-scores[j], pool[j].node))
     return [pool[j] for j in order[: config.population_size]]
 
@@ -272,12 +289,11 @@ def _probe_diversity(
     indices = draw_distinct_indices(rng, len(population), k)
     if distance_fn is None or k < 2:
         return 0.0
-    members = [population[j] for j in indices]
+    xs, ys = zip(*itertools.combinations([population[j] for j in indices], 2))
     total = 0.0
-    for i in range(k - 1):
-        for d in distance_fn(members[i], members[i + 1 :]):
-            total += d
-    return total / (k * (k - 1) // 2)
+    for d in distance_fn(xs, ys):
+        total += d
+    return total / len(xs)
 
 
 def _trace_row(

@@ -18,12 +18,14 @@ On top of the raw graph this module provides:
   common ancestor score 1.
 * ``edist_oracle`` -- undirected shortest-path length over recorded edges,
   a slower reference distance used to sanity-check ``gdist``.
-* ``AncestryIndex`` -- an incremental cache of ancestor distances over the
-  live ancestry (the ancestors of the individuals still alive).  A query
-  for one individual against a batch of peers costs one stacked pass of
-  O(live ancestry) vectorised work, and memory is bounded by the live
-  ancestry rather than by every node ever born, so it is fast enough for
-  use inside a selection loop.
+* ``AncestryIndex`` -- an incremental index over the individuals still
+  alive.  It keeps, for every pair of them, how close their nearest common
+  ancestor sits, updated from the parents' entries at each birth, so a
+  ``gdist`` query costs O(1) per pair.  Per-individual ancestor distances
+  over the live ancestry (the ancestors of the individuals still alive) are
+  kept only to compute each newborn's depth.  Memory is bounded by the
+  living individuals and their live ancestry rather than by every node ever
+  born, so it is fast enough for use inside a selection loop.
 
 Plain-text logs of the graph (one node per line) can be written and read
 back with :func:`write_genealogy_log` / :func:`read_genealogy_log`.
@@ -64,13 +66,12 @@ _ARITY = {
 class GenealogyGraph:
     """Append-only DAG of every individual created during a run."""
 
-    __slots__ = ("_parents", "_kinds", "_birth_gen", "_children")
+    __slots__ = ("_parents", "_kinds", "_birth_gen")
 
     def __init__(self) -> None:
         self._parents: list[tuple[int, ...]] = []
         self._kinds: list[OpKind] = []
         self._birth_gen: list[int] = []
-        self._children: list[list[int]] = []
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -92,20 +93,11 @@ class GenealogyGraph:
         """
         kind = OpKind(kind)
         parents = tuple(int(p) for p in parents)
-        if len(parents) != kind.arity:
-            raise ValueError(
-                f"{kind.value} takes {kind.arity} parent(s), got {len(parents)}"
-            )
         n = len(self._parents)
-        for p in parents:
-            if not 0 <= p < n:
-                raise KeyError(f"unknown parent node id {p}")
+        _check_birth(parents, kind, n)
         self._parents.append(parents)
         self._kinds.append(kind)
         self._birth_gen.append(int(generation))
-        self._children.append([])
-        for p in dict.fromkeys(parents):
-            self._children[p].append(n)
         return n
 
     def _check(self, node: int) -> int:
@@ -244,13 +236,19 @@ class GenealogyGraph:
         """Shortest-path length between two nodes ignoring edge direction.
 
         Walks parent and child links alike; returns :data:`INFINITE` when
-        the nodes lie in different connected components.  Quadratic-ish and
-        meant for validation, not for use inside a selection loop.
+        the nodes lie in different connected components.  The child links
+        are derived from the parent links on every call, so this is linear
+        in the graph's size and meant for validation, not for use inside a
+        selection loop.
         """
         x1 = self._check(x1)
         x2 = self._check(x2)
         if x1 == x2:
             return 0
+        children: list[list[int]] = [[] for _ in self._parents]
+        for child, parents in enumerate(self._parents):
+            for p in dict.fromkeys(parents):
+                children[p].append(child)
         dist = {x1: 0}
         queue = deque((x1,))
         while queue:
@@ -262,7 +260,7 @@ class GenealogyGraph:
                 if nxt not in dist:
                     dist[nxt] = d
                     queue.append(nxt)
-            for nxt in self._children[cur]:
+            for nxt in children[cur]:
                 if nxt == x2:
                     return d
                 if nxt not in dist:
@@ -285,9 +283,27 @@ def write_genealogy_log(graph: GenealogyGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def _check_birth(parents: tuple[int, ...], kind: OpKind, n: int) -> None:
+    """Reject parents that do not fit ``kind`` or are not among the first ``n`` nodes."""
+    if len(parents) != kind.arity:
+        raise ValueError(f"{kind.value} takes {kind.arity} parent(s), got {len(parents)}")
+    for p in parents:
+        if not 0 <= p < n:
+            raise KeyError(f"unknown parent node id {p}")
+
+
+_KIND_OF = {kind.value: kind for kind in OpKind}
+
+
 def read_genealogy_log(path: str | Path) -> GenealogyGraph:
-    """Rebuild a graph from the format produced by :func:`write_genealogy_log`."""
-    graph = GenealogyGraph()
+    """Rebuild a graph from the format produced by :func:`write_genealogy_log`.
+
+    Each line is parsed and checked once, with the rules of
+    :meth:`GenealogyGraph.record_birth`, and appended directly.
+    """
+    parents_of: list[tuple[int, ...]] = []
+    kinds: list[OpKind] = []
+    generations: list[int] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -298,18 +314,21 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
         try:
             node = int(fields[0])
             generation = int(fields[1])
-            parents = tuple(int(f) for f in fields[3:])
+            parents = tuple(map(int, fields[3:]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer field ({exc})") from None
-        try:
-            kind = OpKind(fields[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: unknown op kind {fields[2]!r}") from None
-        if node != len(graph):
-            raise ValueError(
-                f"line {lineno}: node id {node} out of order (expected {len(graph)})"
-            )
-        graph.record_birth(parents, kind, generation)
+        kind = _KIND_OF.get(fields[2])
+        if kind is None:
+            raise ValueError(f"line {lineno}: unknown op kind {fields[2]!r}")
+        n = len(parents_of)
+        if node != n:
+            raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
+        _check_birth(parents, kind, n)
+        parents_of.append(parents)
+        kinds.append(kind)
+        generations.append(generation)
+    graph = GenealogyGraph()
+    graph._parents, graph._kinds, graph._birth_gen = parents_of, kinds, generations
     return graph
 
 
@@ -317,37 +336,51 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
 # fast incremental index
 # ----------------------------------------------------------------------
 
-# Entry of a column that is not an ancestor of the row's node.  A child adds
-# one to its parents' entries, so these stay in [2**30, 2**31), and real
-# distances stay below the bit, for any genealogy under 2**30 births deep.
+# Entry of a pair with no common ancestor, and of a column that is not an
+# ancestor of the row's node.  A child adds one to its parents' entries, so
+# these stay in [2**30, 2**31), and real distances stay below the bit, for
+# any genealogy under 2**30 births deep.
 _UNREACHED = 1 << 30
 
 
 class AncestryIndex:
-    """Ancestor-distance rows over the live ancestry, for fast ``gdist``.
+    """Pairwise closeness of the tracked nodes, for O(1) ``gdist``.
 
-    The columns are the *live ancestry*: every node that some tracked node
-    descends from (itself included), in birth order.  For every tracked node
-    ``x`` the index keeps an int32 row ``v`` with ``v[c] = adist(a, x)`` for
-    the ancestor ``a`` held in column ``c``; columns of non-ancestors carry
-    the ``_UNREACHED`` bit.  A child gets a new column of its own, and its row
-    is the element-wise minimum of its parents' rows plus one.
+    For every ordered pair of tracked nodes ``(x, y)`` the index keeps an
+    int32 entry ``near[x, y]``: the smallest ``adist(c, x)`` over the common
+    ancestors ``c`` of ``x`` and ``y``, or the ``_UNREACHED`` bit when they
+    have none (``near[x, x] = 0``).  Because ``Anc(z) = {z} ∪ ⋃ Anc(p)`` over
+    the parents ``p`` of a child ``z``, and ``adist(c, z) = 1 + min_p
+    adist(c, p)``, a child's entries follow from its parents' alone::
+
+        near[z, y] = 1 + min_p near[p, y]        near[y, z] = min_p near[y, p]
+
+    and the numerator of ``gdist(x, y)`` is ``min(near[x, y], near[y, x])``.
+
+    The denominator needs each node's depth, which is a maximum over all of
+    its ancestors.  To compute it at birth the index also keeps, per tracked
+    node, its ``adist`` from every node of the *live ancestry* (every node
+    some tracked node descends from, in birth order); a child's row is the
+    element-wise minimum of its parents' rows plus one.  These rows serve
+    nothing else.  With both parts known, ``add`` stores the newborn's
+    ``gdist`` to every tracked node, so a query reads one table entry.
 
     Nodes must be added in birth order while their parents are still
-    tracked.  :meth:`retain`, called after selection, drops the rows of dead
-    individuals and compacts away every column no remaining row reaches (the
-    "simplify" step of tree-sequence recording).  Memory, ``add`` and a
-    ``gdist`` query therefore cost O(live ancestry) rather than O(nodes ever
-    born); the live ancestry still grows with the run, but far more slowly.
-    Storage doubles on demand.
+    tracked.  :meth:`retain`, called after selection, drops the dead
+    individuals and compacts away every live-ancestry column no remaining
+    node reaches (the "simplify" step of tree-sequence recording).  A query
+    costs O(1) per pair, ``add`` costs O(tracked + live ancestry), and memory
+    is bounded by the tracked nodes and their live ancestry rather than by
+    every node ever born.  Storage doubles on demand.
     """
 
     def __init__(self) -> None:
         self._count = 0  # id the next added node must carry
-        self._width = 0  # columns in use
+        self._width = 0  # live-ancestry columns in use
         self._rows: dict[int, int] = {}  # tracked node -> row; rows are dense
-        self._col: list[int] = []  # row -> its node's own column
-        self._depth: list[int] = []  # row -> its node's depth
+        self._depth = np.empty(16, dtype=np.int64)  # row -> its node's depth
+        self._near = np.empty((16, 16), dtype=np.int32)  # row x row
+        self._gdist = np.empty((16, 16), dtype=np.float64)  # row x row
         self._dist = np.full((16, 64), _UNREACHED, dtype=np.int32)  # row x column
         self._nodes = np.empty(64, dtype=np.int64)  # column -> node id
 
@@ -373,10 +406,17 @@ class AncestryIndex:
             return
         new_rows = 2 * old_rows if rows > old_rows else old_rows
         new_cols = 2 * old_cols if cols > old_cols else old_cols
-        dist = np.full((new_rows, new_cols), _UNREACHED, dtype=np.int32)
         used = len(self._rows)
+        dist = np.full((new_rows, new_cols), _UNREACHED, dtype=np.int32)
         dist[:used, : self._width] = self._dist[:used, : self._width]
         self._dist = dist
+        if new_rows > old_rows:
+            for name in ("_near", "_gdist"):
+                old = getattr(self, name)
+                grown = np.empty((new_rows, new_rows), dtype=old.dtype)
+                grown[:used, :used] = old[:used, :used]
+                setattr(self, name, grown)
+            self._depth = np.resize(self._depth, new_rows)
         self._nodes = np.resize(self._nodes, new_cols)
 
     def add(self, node: int, parents: tuple[int, ...]) -> None:
@@ -390,68 +430,75 @@ class AncestryIndex:
             parent_rows.append(self._rows[p])
         row, col = len(self._rows), self._width
         self._reserve(row + 1, col + 1)
-        dist = self._dist
+        dist, near = self._dist, self._near
         vec = dist[row, : col + 1]
         if not parent_rows:
             vec[:col] = _UNREACHED
+            near[row, :row] = _UNREACHED
+            near[:row, row] = _UNREACHED
         elif len(parent_rows) == 1:
-            np.add(dist[parent_rows[0], :col], 1, out=vec[:col])
+            p = parent_rows[0]
+            np.add(dist[p, :col], 1, out=vec[:col])
+            np.add(near[p, :row], 1, out=near[row, :row])
+            near[:row, row] = near[:row, p]
         else:
-            np.minimum(dist[parent_rows[0], :col], dist[parent_rows[1], :col], out=vec[:col])
+            p, q = parent_rows
+            np.minimum(dist[p, :col], dist[q, :col], out=vec[:col])
             vec[:col] += 1
+            np.minimum(near[p, :row], near[q, :row], out=near[row, :row])
+            near[row, :row] += 1
+            np.minimum(near[:row, p], near[:row, q], out=near[:row, row])
         vec[col] = 0
+        near[row, row] = 0
+        depth = self._depth
+        depth[row] = np.where(vec < _UNREACHED, vec, 0).max()
+        # gdist to every tracked node.  A real numerator never exceeds the
+        # larger depth, and an _UNREACHED one always does, so clamping at 1
+        # gives 1.0 exactly to pairs without a common ancestor.  Depth 0 means
+        # genesis, whose only common ancestor is itself, so a zero
+        # denominator can be read as 1.
+        g = np.minimum(near[row, : row + 1], near[: row + 1, row]) / np.maximum(
+            depth[: row + 1], max(depth[row], 1)
+        )
+        np.minimum(g, 1.0, out=g)
+        self._gdist[row, : row + 1] = g
+        self._gdist[: row + 1, row] = g
         self._rows[node] = row
-        self._col.append(col)
-        self._depth.append(int(vec.max(where=vec < _UNREACHED, initial=0)))
         self._nodes[col] = node
         self._width += 1
         self._count += 1
 
     def depth(self, node: int) -> int:
-        return self._depth[self._rows[node]]
+        return int(self._depth[self._rows[node]])
 
     def gdist(self, a: int, b: int) -> float:
         """Same contract as :meth:`GenealogyGraph.gdist`, for tracked nodes."""
-        return self.gdist_many(a, (b,))[0]
+        return self.gdist_pairs((a,), (b,))[0]
 
-    def gdist_many(self, x: int, others) -> list[float]:
-        """``gdist(x, o)`` for every ``o`` in ``others``, in one stacked pass."""
-        row = self._rows[x]
-        rows = [self._rows[o] for o in others]
-        if not rows:
-            return []
-        col = self._col
-        # Columns are in birth order, so no common ancestor of a pair lies
-        # past the column of its smaller node.
-        k = min(col[row], max([col[r] for r in rows])) + 1
-        peers = self._dist[rows, :k]
-        own = self._dist[row, :k]
-        outside = np.bitwise_or(peers, own)
-        outside &= _UNREACHED  # set unless the column is a common ancestor
-        np.minimum(peers, own, out=peers)
-        peers |= outside
-        depth = self._depth
-        own_depth = depth[row]
-        out = []
-        for num, r in zip(peers.min(axis=1).tolist(), rows):
-            denom = max(own_depth, depth[r])
-            out.append(1.0 if num >= _UNREACHED else 0.0 if denom == 0 else num / denom)
-        return out
+    def gdist_pairs(self, xs, ys) -> list[float]:
+        """``gdist(x, y)`` for every pair of ``zip(xs, ys)``, in order."""
+        rows = self._rows
+        return self._gdist[[rows[x] for x in xs], [rows[y] for y in ys]].tolist()
 
     def retain(self, alive) -> None:
         """Drop every node not listed in ``alive``, then every column that no
         remaining node descends from."""
         kept = [n for n in dict.fromkeys(alive) if n in self._rows]
-        rows = [self._rows[n] for n in kept]
-        width = self._width
-        live = self._dist[rows, :width]
-        keep = (live < _UNREACHED).any(axis=0)
-        new_width = int(np.count_nonzero(keep))
-        self._dist[: len(rows), :new_width] = live[:, keep]
-        self._dist[:, new_width:width] = _UNREACHED
-        new_col = np.cumsum(keep) - 1
-        self._col = new_col[[self._col[r] for r in rows]].tolist()
-        self._depth = [self._depth[r] for r in rows]
-        self._nodes[:new_width] = self._nodes[:width][keep]
-        self._rows = dict(zip(kept, range(len(kept))))
+        rows = np.array([self._rows[n] for n in kept], dtype=np.intp)
+        m, width, dist = len(kept), self._width, self._dist
+        live = dist[rows, :width]
+        keep = live.min(axis=0, initial=_UNREACHED) < _UNREACHED
+        # Columns before the first dropped one keep their place; in a typical
+        # generation that is nearly all of them.
+        first = width if keep.all() else int(np.argmin(keep))
+        tail = keep[first:]
+        new_width = first + int(np.count_nonzero(tail))
+        dist[:m, :first] = live[:, :first]
+        dist[:m, first:new_width] = live[:, first:][:, tail]
+        dist[:, new_width:width] = _UNREACHED
+        self._nodes[first:new_width] = self._nodes[first:width][tail]
+        self._near[:m, :m] = self._near.take(rows, 0).take(rows, 1)
+        self._gdist[:m, :m] = self._gdist.take(rows, 0).take(rows, 1)
+        self._depth[:m] = self._depth[rows]
+        self._rows = dict(zip(kept, range(m)))
         self._width = new_width

@@ -159,6 +159,32 @@ def test_build_engine_config_cross_field_check(tmp_path):
     assert "immigrants" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("engine.population_size", 0, MetricKind.NONE),
+        ("engine.generations", -1, MetricKind.NONE),
+        ("engine.mutation_prob", 1.5, MetricKind.NONE),
+        ("engine.crossover_prob", -0.1, MetricKind.NONE),
+        ("engine.tournament_size", 0, MetricKind.NONE),
+        ("engine.immigrants_per_gen", -1, MetricKind.NONE),
+        ("engine.immigrants_per_gen", 20, MetricKind.NONE),  # not below population_size
+        ("engine.tau", 0, MetricKind.NONE),
+        ("diversity.sample_size", 0, MetricKind.DOMAIN),
+        ("lambda.trash_bits", -1.0, MetricKind.TRASH_BITS),
+        ("lambda.genealogical_tree", float("nan"), MetricKind.GENEALOGICAL_TREE),
+    ],
+)
+def test_build_engine_config_names_the_key(key, value, kind):
+    # Values that bypass the file parser's own checks reach EngineConfig.validate.
+    cfg = load_config(None, environ={})
+    cfg[key] = value
+    with pytest.raises(ConfigError) as err:
+        build_engine_config(cfg, kind)
+    assert err.value.key == key
+    assert str(err.value).startswith(f"config key '{key}': ")
+
+
 def test_seeds_from_base_and_count(tmp_path):
     path = write_cfg(tmp_path, "run.base_seed = 5\nrun.num_seeds = 3\n")
     assert seeds_from(load_config(path, environ={})) == [5, 6, 7]

@@ -6,6 +6,7 @@ from genediv.diversity import (
     MetricKind,
     augmented_fitness,
     draw_distinct_indices,
+    draw_peer_sets,
     make_distance_fn,
 )
 from genediv.engine import Individual
@@ -60,6 +61,49 @@ def test_draw_distinct_indices_is_deterministic():
     assert a == b
 
 
+def scalar_draws(rng, n, k, exclude):
+    """Reference: one scalar draw at a time, rejecting ``exclude`` and repeats."""
+    picked = []
+    while len(picked) < k:
+        j = int(rng.integers(n))
+        if j != exclude and j not in picked:
+            picked.append(j)
+    return picked
+
+
+def test_draw_peer_sets_replays_sequential_scalar_draws():
+    # One plan must return what one scalar-draw loop per exclude returns, and
+    # leave the stream where those loops leave it; so must each one-set call.
+    seed = 0
+    for n in range(2, 65):
+        for k in range(n):
+            seed += 1
+            sets = int(np.random.default_rng(seed).integers(1, 8))
+            excludes = [int(e) for e in np.random.default_rng(seed).integers(-2, n + 2, size=sets)]
+            reference = np.random.default_rng(seed)
+            want = [scalar_draws(reference, n, k, e) for e in excludes]
+            planned = np.random.default_rng(seed)
+            assert draw_peer_sets(planned, n, k, excludes) == want, (n, k, excludes)
+            one_by_one = np.random.default_rng(seed)
+            assert [draw_distinct_indices(one_by_one, n, k, e) for e in excludes] == want
+            state = reference.bit_generator.state
+            assert planned.bit_generator.state == one_by_one.bit_generator.state == state
+            assert planned.random() == one_by_one.random() == reference.random()
+
+
+def test_draw_peer_sets_rejects_oversized_request_before_drawing():
+    rng = np.random.default_rng(38)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        draw_peer_sets(rng, 4, 4, [9, 1])  # all 4 fit beside 9, not beside 1
+    with pytest.raises(ValueError):
+        draw_peer_sets(rng, 4, -1, [0])
+    assert rng.bit_generator.state == state
+    assert draw_peer_sets(rng, 4, 0, [0, 1]) == [[], []]
+    assert draw_peer_sets(rng, 4, 2, []) == []
+    assert rng.bit_generator.state == state
+
+
 # ----------------------------------------------------------------------
 # metric dispatch
 # ----------------------------------------------------------------------
@@ -70,18 +114,21 @@ def test_make_distance_fn_dispatch():
     population = make_population(rng, size=4, graph=graph)
     a, b = population[0], population[1]
 
-    others = population[1:]
+    xs = [a, a, a, b, population[3], b]
+    ys = population[1:] + [a, population[2], b]
     assert make_distance_fn(MetricKind.NONE) is None
-    assert make_distance_fn(MetricKind.DOMAIN)(a, others) == [
-        domain_distance(a.genome, o.genome) for o in others
+    assert make_distance_fn(MetricKind.DOMAIN)(xs, ys) == [
+        domain_distance(x.genome, y.genome) for x, y in zip(xs, ys)
     ]
-    assert make_distance_fn(MetricKind.TRASH_BITS)(a, others) == [
-        tdist(a.trash, o.trash) for o in others
+    assert make_distance_fn(MetricKind.TRASH_BITS)(xs, ys) == [
+        tdist(x.trash, y.trash) for x, y in zip(xs, ys)
     ]
     fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, AncestryIndex.from_graph(graph))
-    assert fn(a, [b]) == [graph.gdist(a.node, b.node)] == [1.0]
-    assert fn(a, []) == []
-    assert fn(a, others) == [graph.gdist(a.node, o.node) for o in others]
+    assert fn([a], [b]) == [graph.gdist(a.node, b.node)] == [1.0]
+    assert fn(xs, ys) == [graph.gdist(x.node, y.node) for x, y in zip(xs, ys)]
+    for kind in (MetricKind.DOMAIN, MetricKind.TRASH_BITS):
+        assert make_distance_fn(kind)([], []) == []
+    assert fn([], []) == []
 
 
 def test_make_distance_fn_requires_genealogy_source():
@@ -94,10 +141,10 @@ def test_make_distance_fn_requires_genealogy_source():
 # ----------------------------------------------------------------------
 
 def recording_distance(seen):
-    """A distance of 1 to every peer that notes which peers it was asked about."""
-    def fn(x, others):
-        seen.append([o.node for o in others])
-        return [1.0] * len(others)
+    """A distance of 1 for every pair that notes which peers it was asked about."""
+    def fn(xs, ys):
+        seen.append([y.node for y in ys])
+        return [1.0] * len(ys)
     return fn
 
 
@@ -108,7 +155,7 @@ def test_augmented_fitness_adds_weighted_mean_distance():
     config = DiversityConfig(MetricKind.DOMAIN, weight=2.0, sample_size=3)
     distance_fn = make_distance_fn(MetricKind.DOMAIN)
 
-    shaped = augmented_fitness(population, 0, config, np.random.default_rng(7), distance_fn)
+    shaped, = augmented_fitness(population, [0], config, np.random.default_rng(7), distance_fn)
     picked = draw_distinct_indices(np.random.default_rng(7), len(population), 3, exclude=0)
     expected = x.raw_fitness + 2.0 * (
         sum(domain_distance(x.genome, population[j].genome) for j in picked) / 3
@@ -122,7 +169,7 @@ def test_augmented_fitness_excludes_self_by_index():
     config = DiversityConfig(MetricKind.DOMAIN, weight=1.0, sample_size=5)
     seen = []
     for _ in range(50):
-        augmented_fitness(population, 2, config, rng, recording_distance(seen))
+        augmented_fitness(population, [2], config, rng, recording_distance(seen))
     for peers in seen:
         assert len(peers) == len(set(peers)) == 5
         assert population[2].node not in peers
@@ -134,9 +181,9 @@ def test_augmented_fitness_caps_peers_at_pool_size():
     population = make_population(rng, size=3)
     config = DiversityConfig(MetricKind.DOMAIN, weight=0.5, sample_size=5)
     seen = []
-    shaped = augmented_fitness(population, 0, config, rng, recording_distance(seen))
+    shaped = augmented_fitness(population, [0], config, rng, recording_distance(seen))
     assert sorted(seen[0]) == [population[1].node, population[2].node]
-    assert shaped == population[0].raw_fitness + 0.5
+    assert shaped == [population[0].raw_fitness + 0.5]
 
 
 def test_augmented_fitness_lonely_individual_gets_raw():
@@ -145,9 +192,25 @@ def test_augmented_fitness_lonely_individual_gets_raw():
     config = DiversityConfig(MetricKind.DOMAIN, weight=1.0)
     state_before = rng.bit_generator.state
     seen = []
-    assert augmented_fitness(population, 0, config, rng, recording_distance(seen)) == 0.0
+    shaped = augmented_fitness(population, [0, 0], config, rng, recording_distance(seen))
+    assert shaped == [0.0, 0.0]
     assert seen == []
     assert rng.bit_generator.state == state_before
+
+
+def test_augmented_fitness_batch_replays_one_call_per_index():
+    population = make_population(np.random.default_rng(42), size=9)
+    indices = [4, 0, 8, 4, 1, 2, 3, 5, 6, 7]
+    for kind in (MetricKind.DOMAIN, MetricKind.TRASH_BITS):
+        config = DiversityConfig(kind, weight=1.5, sample_size=5)
+        distance_fn = make_distance_fn(kind)
+        batched = np.random.default_rng(43)
+        one_by_one = np.random.default_rng(43)
+        assert augmented_fitness(population, indices, config, batched, distance_fn) == [
+            augmented_fitness(population, [i], config, one_by_one, distance_fn)[0]
+            for i in indices
+        ]
+        assert batched.random() == one_by_one.random()
 
 
 def test_diversity_config_validation():

@@ -302,6 +302,40 @@ def test_read_log_rejects_bad_lines(tmp_path):
         read_genealogy_log(path)
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("0,0,genesis\n\n 2 ,0,mutation,0\n", ValueError,
+         "line 3: node id 2 out of order (expected 1)"),
+        ("0,0,genesis\n1,1, teleport ,0\n", ValueError, "line 2: unknown op kind 'teleport'"),
+        ("0,0\n", ValueError, "line 1: expected 'id,generation,op_kind[,parents...]'"),
+        ("  \n , \n", ValueError, "line 2: expected 'id,generation,op_kind[,parents...]'"),
+        ("x,0,genesis\n", ValueError,
+         "line 1: non-integer field (invalid literal for int() with base 10: 'x')"),
+        ("0,0,genesis\n1,1,mutation, 0 x \n", ValueError,
+         "line 2: non-integer field (invalid literal for int() with base 10: '0 x')"),
+        ("0,0,genesis\n1,1,mutation,0,0\n", ValueError, "mutation takes 1 parent(s), got 2"),
+        ("0,0,genesis\n1,1,recombination,0,1\n", KeyError, "unknown parent node id 1"),
+    ],
+)
+def test_read_log_error_names_line_and_field(tmp_path, text, error, message):
+    path = tmp_path / "bad.log"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        read_genealogy_log(path)
+    assert err.value.args == (message,)
+
+
+def test_read_log_accepts_padding_and_blank_lines(tmp_path):
+    path = tmp_path / "padded.log"
+    path.write_text("\n 0 , 0 , genesis \n\n1,1,mutation, 0\n2 ,2, recombination ,0 , 1\n  \n")
+    g = read_genealogy_log(path)
+    assert [g.parents(n) for n in g.nodes()] == [(), (0,), (0, 1)]
+    assert [g.kind(n) for n in g.nodes()] == [OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION]
+    assert [g.birth_generation(n) for n in g.nodes()] == [0, 1, 2]
+    assert g.edist_oracle(0, 2) == 1
+
+
 # ----------------------------------------------------------------------
 # incremental index
 # ----------------------------------------------------------------------
@@ -348,9 +382,13 @@ def test_ancestry_index_grows_past_initial_allocation():
         assert index.depth(a) == g.depth(a)
 
 
-def _evolving_index(rng, generations, size=8):
+def _evolving_index(rng, generations, size=8, before_retain=None):
     """Random births from a fixed-size population, ``retain`` after each
-    generation; yields the graph, the index and the survivors each time."""
+    generation; yields the graph, the index and the survivors each time.
+
+    ``before_retain(graph, index, pool)``, when given, sees each generation's
+    whole pool (survivors, newborns and their siblings) before ``retain``.
+    """
     g = GenealogyGraph()
     index = AncestryIndex()
     alive = []
@@ -371,20 +409,29 @@ def _evolving_index(rng, generations, size=8):
             kind = (OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION)[len(parents)]
             pool.append(g.record_birth(parents, kind, gen))
             index.add(pool[-1], parents)
+        if before_retain is not None:
+            before_retain(g, index, pool)
         alive = sorted(int(n) for n in rng.choice(pool, size=size, replace=False))
         index.retain(alive)
         yield g, index, alive
 
 
+def _check_every_pair(g, index, nodes):
+    xs = [x for t, x in enumerate(nodes) for _ in nodes[t:]]
+    ys = [y for t in range(len(nodes)) for y in nodes[t:]]
+    expected = [g.gdist(x, y) for x, y in zip(xs, ys)]
+    assert index.gdist_pairs(xs, ys) == expected
+    assert index.gdist_pairs(ys, xs) == expected
+    for x in nodes:
+        assert index.depth(x) == g.depth(x)
+
+
 def test_ancestry_index_matches_graph_under_retain():
     rng = np.random.default_rng(16)
-    for g, index, alive in _evolving_index(rng, generations=60):
-        for x in alive:
-            assert index.depth(x) == g.depth(x)
-            expected = [g.gdist(x, o) for o in alive]
-            assert index.gdist_many(x, alive) == expected
-            assert [index.gdist(x, o) for o in alive] == expected
-        assert index.gdist_many(alive[0], []) == []
+    for g, index, alive in _evolving_index(rng, generations=60, before_retain=_check_every_pair):
+        _check_every_pair(g, index, alive)
+        assert [index.gdist(alive[0], o) for o in alive] == [g.gdist(alive[0], o) for o in alive]
+        assert index.gdist_pairs([], []) == []
 
 
 def test_ancestry_index_columns_are_the_live_ancestry():
@@ -417,8 +464,8 @@ def test_ancestry_index_dropped_node_raises_key_error():
         lambda: index.gdist(0, 1),
         lambda: index.gdist(1, 0),
         lambda: index.gdist(0, 0),
-        lambda: index.gdist_many(0, [1, 2]),
-        lambda: index.gdist_many(1, [2, 0]),
+        lambda: index.gdist_pairs([0, 0], [1, 2]),
+        lambda: index.gdist_pairs([1, 1], [2, 0]),
         lambda: index.depth(0),
     ):
         with pytest.raises(KeyError):
