@@ -44,7 +44,7 @@ print("plain run has no metric, so its probe column is 0 by definition)\n")
 # zoom in: shaped fitness of the final shaped population
 population = res_shaped.population
 graph = res_shaped.graph
-distance_fn = lambda xs, ys: [graph.gdist(x.node, y.node) for x, y in zip(xs, ys)]
+distances = np.array([[graph.gdist(x.node, y.node) for y in population] for x in population])
 rng = np.random.default_rng(0)
 config = shaped.diversity
 
@@ -52,7 +52,7 @@ print("final population under the shaped run, one sampled evaluation each:")
 print(f"{'node':>6s} {'raw':>4s} {'shaped':>7s}   (shaped - raw = diversity bonus)")
 for i in sorted(range(len(population)), key=lambda i: -population[i].raw_fitness)[:8]:
     ind = population[i]
-    s = augmented_fitness(population, [i], config, rng, distance_fn)[0]
+    s = augmented_fitness(population, [i], config, rng, distances)[0]
     print(f"{ind.node:>6d} {ind.raw_fitness:>4.0f} {s:>7.2f}")
 print("\nAn unusual lineage can out-rank a slightly fitter clone -- that is")
 print("the entire mechanism: hold the door open for genetic outsiders.")

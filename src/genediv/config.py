@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .diversity import DiversityConfig, MetricKind, SettingError
+from .diversity import DiversityConfig, MetricKind
 from .engine import EngineConfig
-from .routing import STEP_NORMS, Arena, Rect, RoutingProblem
+from .routing import STEP_NORMS, Arena, Rect, RoutingProblem, SettingError
 
 ENV_PREFIX = "GENEDIV_"
 
@@ -216,15 +216,16 @@ def load_config(
 
 def build_problem(cfg: dict[str, object]) -> RoutingProblem:
     """Construct the routing problem described by the ``arena.*`` keys."""
+    rects = {}
+    for name in ("bounds", "goal", "obstacle"):
+        try:
+            rects[name] = Rect(*cfg[f"arena.{name}"])
+        except ValueError as exc:
+            raise ConfigError(f"arena.{name}", str(exc)) from None
     try:
-        arena = Arena(
-            bounds=Rect(*cfg["arena.bounds"]),
-            start=tuple(cfg["arena.start"]),
-            goal=Rect(*cfg["arena.goal"]),
-            obstacle=Rect(*cfg["arena.obstacle"]),
-        )
-    except ValueError as exc:
-        raise ConfigError("arena", str(exc)) from None
+        arena = Arena(start=tuple(cfg["arena.start"]), **rects)
+    except SettingError as exc:
+        raise ConfigError(f"arena.{exc.field}", str(exc)) from None
     return RoutingProblem(arena=arena, sigma=cfg["mutation.sigma"], step_norm=cfg["step_norm"])
 
 

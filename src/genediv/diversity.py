@@ -11,13 +11,20 @@ Three interchangeable distance metrics are provided:
   genealogy (how far back the latest common ancestor sits).
 * ``trash_bits`` -- normalised Hamming distance between neutral bit markers.
 
+:func:`make_distance_fn` returns each as a :data:`DistanceFn`, which maps a
+list of members to their member-by-member :class:`DistanceMatrix`.  The
+matrix is read, not built: ``d[a, b]`` computes only the entries its index
+arrays select, so scoring a pool of ``M`` members against ``k`` peers each
+costs ``M * k`` pairs at any population size.
+
 With the ``none`` kind or a zero weight shaping is inert: the engine then
 uses raw fitness directly and draws no peers (see :mod:`genediv.engine`).
 
 :func:`augmented_fitness` scores several members in one call: it draws all
 their peer sets in one plan (:func:`draw_peer_sets`), which consumes the
 random stream exactly as one :func:`draw_distinct_indices` call per member
-would, and asks the distance function once for every (member, peer) pair.
+would, and reads their distances from the pool's distance matrix, which the
+caller makes once per pool and reuses.
 The stream order, and so every result, is the same as one call per member.
 """
 
@@ -30,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .genealogy import AncestryIndex
+from .routing import SettingError
 
 
 class MetricKind(Enum):
@@ -39,14 +47,6 @@ class MetricKind(Enum):
     DOMAIN = "domain"
     GENEALOGICAL_TREE = "genealogical_tree"
     TRASH_BITS = "trash_bits"
-
-
-class SettingError(ValueError):
-    """A ``validate`` failure; ``field`` names the setting at fault."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -74,53 +74,73 @@ class DiversityConfig:
             )
 
 
-DistanceFn = Callable[[Sequence, Sequence], list[float]]
-"""``fn(xs, ys)``: the distance between ``xs[t]`` and ``ys[t]`` for every ``t``, in order."""
+class DistanceMatrix:
+    """The member-by-member distance matrix of a list of members, computed on
+    read.
+
+    ``d[a, b]`` is the distance from ``members[a]`` to ``members[b]`` for
+    integer indices or index arrays ``a`` and ``b`` that broadcast together,
+    as with an ndarray: ``d[r[:, None], r]`` is the block over ``r`` and
+    ``d[rows[:, None], peers]`` each row's peers.  Only the selected entries
+    are computed.  ``pair(a, b)`` computes them from arrays gathered once
+    per matrix.
+    """
+
+    __slots__ = ("shape", "_pair")
+
+    def __init__(self, size: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.shape = (size, size)
+        self._pair = pair
+
+    def __getitem__(self, key: tuple) -> np.ndarray:
+        a, b = key
+        return self._pair(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
+
+
+DistanceFn = Callable[[Sequence], DistanceMatrix]
+"""``fn(members)``: the :class:`DistanceMatrix` of ``members``."""
+
+
+def _stack_flat(arrays: list) -> np.ndarray:
+    """One row per array, flattened in C order; ``(0, 0)`` for no arrays."""
+    return np.stack([a.ravel() for a in arrays]) if arrays else np.zeros((0, 0))
 
 
 def make_distance_fn(kind: MetricKind, index: AncestryIndex | None = None) -> DistanceFn | None:
-    """Return a pairwise distance over individuals, or ``None`` for ``NONE``.
+    """Return the :data:`DistanceFn` of ``kind``, or ``None`` for ``NONE``.
 
-    Individuals only need ``genome`` / ``trash`` / ``node`` attributes.  The
-    behavioural and marker metrics compare stacked arrays, pair by pair, with
-    the same arithmetic as :func:`genediv.routing.domain_distance` and
-    :func:`genediv.trash_genes.tdist`.  The genealogical metric asks
-    ``index`` one batched query per call and needs every queried node to be
-    tracked there.
+    Members only need ``genome`` / ``trash`` / ``node`` attributes.  The
+    behavioural and marker metrics stack the members' arrays once per matrix
+    and compare them with the same arithmetic as
+    :func:`genediv.routing.domain_distance` and
+    :func:`genediv.trash_genes.tdist`, so every entry equals theirs bit for
+    bit: each domain entry is reduced over one contiguous run of its pair's
+    values, the order ``np.abs(g1 - g2).sum()`` uses.  The genealogical
+    metric reads ``index`` (see :meth:`AncestryIndex.gdist_among`), so its
+    matrix holds until the next :meth:`AncestryIndex.retain`.
     """
     if kind is MetricKind.NONE:
         return None
     if kind is MetricKind.DOMAIN:
-        return lambda xs, ys: _stacked_domain_distance(
-            [x.genome for x in xs], [y.genome for y in ys]
-        )
+        def domain(members: Sequence) -> DistanceMatrix:
+            g = _stack_flat([m.genome for m in members])
+            return DistanceMatrix(len(g), lambda a, b: np.abs(g[a] - g[b]).sum(axis=-1))
+        return domain
     if kind is MetricKind.TRASH_BITS:
-        return lambda xs, ys: _stacked_tdist([x.trash for x in xs], [y.trash for y in ys])
+        def trash_bits(members: Sequence) -> DistanceMatrix:
+            t = _stack_flat([m.trash for m in members])
+            tau = t.shape[1]
+            return DistanceMatrix(
+                len(t), lambda a, b: np.count_nonzero(t[a] != t[b], axis=-1) / tau
+            )
+        return trash_bits
     if kind is MetricKind.GENEALOGICAL_TREE:
         if index is None:
             raise ValueError("genealogical metric needs an ancestry index")
-        return lambda xs, ys: index.gdist_pairs([x.node for x in xs], [y.node for y in ys])
+        return lambda members: DistanceMatrix(
+            len(members), index.gdist_among([m.node for m in members])
+        )
     raise ValueError(f"unknown diversity metric kind: {kind!r}")
-
-
-def _stacked_domain_distance(a: list[np.ndarray], b: list[np.ndarray]) -> list[float]:
-    """``routing.domain_distance(a[t], b[t])`` for every ``t``.
-
-    Each row is reduced over one contiguous run of its genome's values, the
-    order ``np.abs(g1 - g2).sum()`` uses, so the sums are bit-identical.
-    """
-    if not a:
-        return []
-    diff = np.abs(np.stack(a) - np.stack(b))
-    return diff.reshape(len(a), -1).sum(axis=1).tolist()
-
-
-def _stacked_tdist(a: list[np.ndarray], b: list[np.ndarray]) -> list[float]:
-    """``trash_genes.tdist(a[t], b[t])`` for every ``t``."""
-    if not a:
-        return []
-    tau = a[0].size
-    return (np.count_nonzero(np.stack(a) != np.stack(b), axis=1) / tau).tolist()
 
 
 def draw_peer_sets(
@@ -180,27 +200,31 @@ def augmented_fitness(
     indices: Sequence[int],
     config: DiversityConfig,
     rng: np.random.Generator,
-    distance_fn: DistanceFn,
+    distances: DistanceMatrix | np.ndarray,
 ) -> list[float]:
     """Raw fitness of each ``pool[i]``, ``i`` in ``indices``, plus the weighted
     mean distance to fresh peers.
 
+    ``distances`` is the pool's member-by-member matrix: a
+    :class:`DistanceMatrix` of ``pool``, or any ndarray indexed the same way.
     Each member gets ``k = min(config.sample_size, len(pool) - 1)`` distinct
     other members of ``pool`` as peers, drawn from ``rng`` in ``indices``
     order (see :func:`draw_peer_sets`), so one call consumes the stream
-    exactly as one call per index would.  Its ``k`` distances are summed left
-    to right.  With no other member the raw fitness comes back unchanged and
-    nothing is drawn.
+    exactly as one call per index would; only the ``len(indices) * k`` peer
+    entries are read.  Its ``k`` distances are summed left to right, on
+    every Python version.  With no other member the raw fitness comes back
+    unchanged and nothing is drawn.
     """
     k = min(config.sample_size, len(pool) - 1)
     if k == 0:
         return [float(pool[i].raw_fitness) for i in indices]
-    peer_sets = draw_peer_sets(rng, len(pool), k, indices)
-    xs = [pool[i] for i in indices for _ in range(k)]
-    ys = [pool[j] for peers in peer_sets for j in peers]
-    distances = distance_fn(xs, ys)
+    rows = np.asarray(indices, dtype=np.intp)
+    peers = np.array(draw_peer_sets(rng, len(pool), k, indices), dtype=np.intp)
     weight = config.weight
-    return [
-        float(pool[i].raw_fitness + weight * (sum(distances[t * k : (t + 1) * k]) / k))
-        for t, i in enumerate(indices)
-    ]
+    scores = []
+    for i, row in zip(indices, distances[rows[:, None], peers.reshape(len(rows), k)].tolist()):
+        total = row[0]
+        for d in row[1:]:
+            total += d
+        scores.append(float(pool[i].raw_fitness + weight * (total / k)))
+    return scores

@@ -23,17 +23,20 @@ reported in the trace are computed on raw fitness only.
 
 Reproducibility: a run consumes a single random stream in a fixed order --
 per generation: mutation gates (one uniform per member), per-mutant draws,
-crossover gates, then per-recombination draws (tournament candidates, any
-peer samples for shaped fitness, genome mask, trash mask), immigrant draws,
-peer samples for the pooled shaped evaluation in pool order, and finally
-the probe-sample indices for the trace row.  The pooled evaluation is one
-:func:`~genediv.diversity.augmented_fitness` call whose peer plan consumes
-the stream exactly as one draw per pool member would, so the order above
-holds.  Shaping with the ``none`` kind or a zero weight is inert: shaped
-fitness is then the raw fitness and no peers are drawn.  The probe indices,
-in contrast, are drawn for every metric kind -- including ``none`` -- so
-runs that differ only in an inert diversity setting replay the exact same
-evolution.
+crossover gates, then per-recombination draws (tournament candidates, the
+candidates' peer samples for shaped fitness in draw order, genome mask,
+trash mask), immigrant draws, peer samples for the pooled shaped evaluation
+in pool order, and finally the probe-sample indices for the trace row.  A
+tournament scores its candidates together and the pool is scored at once,
+each in one :func:`~genediv.diversity.augmented_fitness` call whose peer
+plan consumes the stream exactly as one draw per member would, so the order
+above holds.  The distances are read from one member-by-member matrix:
+the population's for the tournaments and the pool's for truncation; each
+read computes only the peer entries it selects and draws nothing.  Shaping
+with the ``none`` kind or a zero weight is inert: shaped fitness is then
+the raw fitness and no peers are drawn.  The probe indices, in contrast,
+are drawn for every metric kind -- including ``none`` -- so runs that
+differ only in an inert diversity setting replay the exact same evolution.
 """
 
 from __future__ import annotations
@@ -47,13 +50,12 @@ import numpy as np
 from .diversity import (
     DiversityConfig,
     MetricKind,
-    SettingError,
     augmented_fitness,
     draw_distinct_indices,
     make_distance_fn,
 )
 from .genealogy import AncestryIndex, GenealogyGraph, OpKind
-from .routing import RoutingProblem
+from .routing import RoutingProblem, SettingError
 from .trash_genes import flip_one_bit, random_trash, uniform_cross
 
 PROBE_SIZE = 5
@@ -161,22 +163,21 @@ def initialize(
 def tournament_select(
     pool: list[Individual],
     k: int,
-    fitness_fn: Callable[[int], float],
+    scores_fn: Callable[[list[int]], list[float]],
     rng: np.random.Generator,
 ) -> Individual:
     """Draw ``min(k, len(pool))`` distinct candidates; return the fittest.
 
-    Ties go to the smaller node id.  ``fitness_fn`` is called once per
-    candidate with its index in ``pool``, in draw order.
+    Ties go to the smaller node id.  ``scores_fn`` is called once, with the
+    candidates' indices in ``pool`` in draw order, and returns their scores.
     """
     if not pool:
         raise ValueError("tournament pool must not be empty")
-    k = min(k, len(pool))
+    candidates = draw_distinct_indices(rng, len(pool), min(k, len(pool)))
     best: Individual | None = None
     best_score = 0.0
-    for j in draw_distinct_indices(rng, len(pool), k):
+    for j, score in zip(candidates, scores_fn(candidates)):
         candidate = pool[j]
-        score = fitness_fn(j)
         if (
             best is None
             or score > best_score
@@ -206,21 +207,25 @@ def step_generation(
     its distances there, so it needs one.  ``registry`` collects every
     individual ever created, for offline analysis.
 
-    Shaped fitness takes one :func:`augmented_fitness` call per tournament
-    candidate and one for the whole pool.
+    Shaped fitness takes one :func:`augmented_fitness` call per tournament,
+    for all its candidates, and one for the whole pool.  The population's
+    distance matrix is made once for every tournament and the pool's once
+    for truncation; each read computes only the peer entries it selects.
     """
     n = len(population)
     if n != config.population_size:
         raise ValueError(f"expected population of {config.population_size}, got {n}")
     div = config.diversity
-    if div.kind is MetricKind.NONE or div.weight == 0.0:
-        def shaped(pool: list[Individual], indices) -> list[float]:
-            return [pool[i].raw_fitness for i in indices]
-    else:
+    distance_fn = None
+    if div.kind is not MetricKind.NONE and div.weight != 0.0:
         distance_fn = make_distance_fn(div.kind, ancestry_index)
 
-        def shaped(pool: list[Individual], indices) -> list[float]:
-            return augmented_fitness(pool, indices, div, rng, distance_fn)
+    def shaped(members: list[Individual], indices, matrix) -> list[float]:
+        if distance_fn is None:
+            return [members[i].raw_fitness for i in indices]
+        return augmented_fitness(members, indices, div, rng, matrix)
+
+    population_distances = None if distance_fn is None else distance_fn(population)
 
     def spawn(parents: tuple[int, ...], kind: OpKind, genome, trash) -> Individual:
         node = graph.record_birth(parents, kind, generation)
@@ -255,7 +260,10 @@ def step_generation(
                 continue
             # others[j] is population[j + (j >= i)]; its peers come from population.
             partner = tournament_select(
-                others, config.tournament_size, lambda j: shaped(population, [j + (j >= i)])[0], rng
+                others,
+                config.tournament_size,
+                lambda js: shaped(population, [j + (j >= i) for j in js], population_distances),
+                rng,
             )
             offspring.append(
                 spawn(
@@ -272,7 +280,7 @@ def step_generation(
         )
 
     pool = population + offspring
-    scores = shaped(pool, range(len(pool)))
+    scores = shaped(pool, range(len(pool)), None if distance_fn is None else distance_fn(pool))
     order = sorted(range(len(pool)), key=lambda j: (-scores[j], pool[j].node))
     return [pool[j] for j in order[: config.population_size]]
 
@@ -289,11 +297,13 @@ def _probe_diversity(
     indices = draw_distinct_indices(rng, len(population), k)
     if distance_fn is None or k < 2:
         return 0.0
-    xs, ys = zip(*itertools.combinations([population[j] for j in indices], 2))
+    probe = np.asarray(indices)
+    distances = distance_fn(population)[probe[:, None], probe].tolist()
+    pairs = list(itertools.combinations(range(k), 2))
     total = 0.0
-    for d in distance_fn(xs, ys):
-        total += d
-    return total / len(xs)
+    for a, b in pairs:
+        total += distances[a][b]
+    return total / len(pairs)
 
 
 def _trace_row(

@@ -51,10 +51,20 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
+    """Population mean and std, summed left to right.
+
+    Python 3.12's builtin ``sum`` compensates float rounding, which would
+    move the CSVs between Python versions; an explicit loop does not.
+    """
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return mean, math.sqrt(var)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
+    total = 0.0
+    for v in values:
+        total += (v - mean) ** 2
+    return mean, math.sqrt(total / n)
 
 
 @dataclass

@@ -37,6 +37,7 @@ import math
 from collections import deque
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -473,12 +474,14 @@ class AncestryIndex:
 
     def gdist(self, a: int, b: int) -> float:
         """Same contract as :meth:`GenealogyGraph.gdist`, for tracked nodes."""
-        return self.gdist_pairs((a,), (b,))[0]
+        return float(self.gdist_among((a, b))(0, 1))
 
-    def gdist_pairs(self, xs, ys) -> list[float]:
-        """``gdist(x, y)`` for every pair of ``zip(xs, ys)``, in order."""
-        rows = self._rows
-        return self._gdist[[rows[x] for x in xs], [rows[y] for y in ys]].tolist()
+    def gdist_among(self, nodes) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``read(a, b)``: ``gdist(nodes[a], nodes[b])`` for integer index
+        arrays ``a`` and ``b`` that broadcast together, one table entry per
+        pair.  Valid until the next :meth:`retain`."""
+        rows = np.array([self._rows[x] for x in nodes], dtype=np.intp)
+        return lambda a, b: self._gdist[rows[a], rows[b]]
 
     def retain(self, alive) -> None:
         """Drop every node not listed in ``alive``, then every column that no

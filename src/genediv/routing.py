@@ -30,6 +30,14 @@ DEFAULT_SIGMA = 0.1
 STEP_NORMS = ("l1", "linf")
 
 
+class SettingError(ValueError):
+    """A validation failure; ``field`` names the setting at fault."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle with ``x0 <= x1`` and ``y0 <= y1``."""
@@ -62,7 +70,10 @@ class Rect:
 
 @dataclass(frozen=True)
 class Arena:
-    """Playing field: outer bounds, start point, goal region, one obstacle."""
+    """Playing field: outer bounds, start point, goal region, one obstacle.
+
+    An inconsistent field raises a :class:`SettingError` naming it.
+    """
 
     bounds: Rect
     start: tuple[float, float]
@@ -71,13 +82,13 @@ class Arena:
 
     def __post_init__(self) -> None:
         if not self.bounds.contains(*self.start):
-            raise ValueError(f"start {self.start} lies outside the arena bounds")
+            raise SettingError("start", f"start {self.start} lies outside the arena bounds")
         if not self.bounds.contains_rect(self.goal):
-            raise ValueError("goal region must lie inside the arena bounds")
+            raise SettingError("goal", "goal region must lie inside the arena bounds")
         if not self.bounds.contains_rect(self.obstacle):
-            raise ValueError("obstacle must lie inside the arena bounds")
+            raise SettingError("obstacle", "obstacle must lie inside the arena bounds")
         if segment_crosses_interior(self.start, self.start, self.obstacle):
-            raise ValueError(f"start {self.start} lies inside the obstacle")
+            raise SettingError("start", f"start {self.start} lies inside the obstacle")
 
 
 def clamp_action(dx: float, dy: float, step_norm: str = "l1") -> tuple[float, float]:
@@ -153,22 +164,30 @@ def simulate(genome: np.ndarray, arena: Arena = DEFAULT_ARENA, step_norm: str = 
     open interior.  One fitness point accrues per step that ends inside the
     (closed) goal region.
     """
+    trajectory = [arena.start]
+    fitness = _walk(genome, arena, step_norm, trajectory)
+    return SimulationResult(np.array(trajectory, dtype=float), fitness)
+
+
+def _walk(genome: np.ndarray, arena: Arena, step_norm: str, trajectory: list | None) -> int:
+    """The fitness of ``genome`` (rows of ``dx, dy``); appends each step's
+    position to ``trajectory`` unless it is ``None``."""
     genome = np.asarray(genome, dtype=float)
     if genome.ndim != 2 or genome.shape[1] != 2:
         raise ValueError(f"genome must have shape (n, 2), got {genome.shape}")
     x, y = arena.start
     bounds, obstacle, goal = arena.bounds, arena.obstacle, arena.goal
-    trajectory = [(x, y)]
     fitness = 0
     for dx, dy in genome.tolist():
         dx, dy = clamp_action(dx, dy, step_norm)
         nx, ny = x + dx, y + dy
         if bounds.contains(nx, ny) and not segment_crosses_interior((x, y), (nx, ny), obstacle):
             x, y = nx, ny
-        trajectory.append((x, y))
+        if trajectory is not None:
+            trajectory.append((x, y))
         if goal.contains(x, y):
             fitness += 1
-    return SimulationResult(np.array(trajectory, dtype=float), fitness)
+    return fitness
 
 
 def domain_distance(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -233,4 +252,5 @@ class RoutingProblem:
         return simulate(genome, self.arena, self.step_norm)
 
     def evaluate(self, genome: np.ndarray) -> int:
-        return self.simulate(genome).raw_fitness
+        """``simulate(genome).raw_fitness``, without building the trajectory."""
+        return _walk(genome, self.arena, self.step_norm, None)

@@ -132,10 +132,23 @@ def test_build_problem_uses_arena_keys(tmp_path):
 
 
 def test_build_problem_rejects_inconsistent_arena(tmp_path):
-    path = write_cfg(tmp_path, "arena.start = 0.5 0.5\n")  # inside default obstacle
-    with pytest.raises(ConfigError) as err:
-        build_problem(load_config(path, environ={}))
-    assert "arena" in str(err.value)
+    # Each failure is reported under the dotted key of the value at fault.
+    cases = [
+        ("arena.start = 0.5 0.5", "arena.start", "inside the obstacle"),
+        ("arena.start = 1.5 0.5", "arena.start", "outside the arena bounds"),
+        ("arena.goal = 0.75 0.3 1.5 0.7", "arena.goal", "inside the arena bounds"),
+        ("arena.goal = 0.95 0.3 0.75 0.7", "arena.goal", "degenerate rectangle"),
+        ("arena.obstacle = 0.4 0.0 0.6 1.2", "arena.obstacle", "inside the arena bounds"),
+        ("arena.obstacle = 0.6 0.0 0.4 0.8", "arena.obstacle", "degenerate rectangle"),
+        ("arena.bounds = 1 0 0 1", "arena.bounds", "degenerate rectangle"),
+    ]
+    for line, key, message in cases:
+        path = write_cfg(tmp_path, line + "\n")
+        with pytest.raises(ConfigError) as err:
+            build_problem(load_config(path, environ={}))
+        assert err.value.key == key, line
+        assert str(err.value).startswith(f"config key '{key}': "), line
+        assert message in str(err.value), line
 
 
 def test_build_engine_config_per_variant():

@@ -9,9 +9,9 @@ from genediv.diversity import (
     draw_peer_sets,
     make_distance_fn,
 )
-from genediv.engine import Individual
+from genediv.engine import EngineConfig, Individual, initialize, step_generation
 from genediv.genealogy import AncestryIndex, GenealogyGraph, OpKind
-from genediv.routing import domain_distance
+from genediv.routing import RoutingProblem, domain_distance
 from genediv.trash_genes import tdist
 
 
@@ -108,27 +108,46 @@ def test_draw_peer_sets_rejects_oversized_request_before_drawing():
 # metric dispatch
 # ----------------------------------------------------------------------
 
+def reference_matrix(members, pair_fn):
+    return [[pair_fn(x, y) for y in members] for x in members]
+
+
+def read_all(distances):
+    """Every entry of a distance matrix, as an ndarray."""
+    r = np.arange(distances.shape[0])
+    return distances[r[:, None], r]
+
+
 def test_make_distance_fn_dispatch():
     rng = np.random.default_rng(37)
     graph = GenealogyGraph()
     population = make_population(rng, size=4, graph=graph)
-    a, b = population[0], population[1]
+    members = population + [population[1], population[0]]  # repeats give zero rows
 
-    xs = [a, a, a, b, population[3], b]
-    ys = population[1:] + [a, population[2], b]
     assert make_distance_fn(MetricKind.NONE) is None
-    assert make_distance_fn(MetricKind.DOMAIN)(xs, ys) == [
-        domain_distance(x.genome, y.genome) for x, y in zip(xs, ys)
-    ]
-    assert make_distance_fn(MetricKind.TRASH_BITS)(xs, ys) == [
-        tdist(x.trash, y.trash) for x, y in zip(xs, ys)
-    ]
+    domain = make_distance_fn(MetricKind.DOMAIN)(members)
+    assert domain.shape == (6, 6)
+    assert read_all(domain).tolist() == reference_matrix(
+        members, lambda x, y: domain_distance(x.genome, y.genome)
+    )
+    assert read_all(make_distance_fn(MetricKind.TRASH_BITS)(members)).tolist() == reference_matrix(
+        members, lambda x, y: tdist(x.trash, y.trash)
+    )
     fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, AncestryIndex.from_graph(graph))
-    assert fn([a], [b]) == [graph.gdist(a.node, b.node)] == [1.0]
-    assert fn(xs, ys) == [graph.gdist(x.node, y.node) for x, y in zip(xs, ys)]
-    for kind in (MetricKind.DOMAIN, MetricKind.TRASH_BITS):
-        assert make_distance_fn(kind)([], []) == []
-    assert fn([], []) == []
+    assert read_all(fn(members[:2])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert read_all(fn(members)).tolist() == reference_matrix(
+        members, lambda x, y: graph.gdist(x.node, y.node)
+    )
+    for matrix in (domain, fn(members)):
+        # A read of single entries or of a block is the same read of the whole.
+        whole = read_all(matrix)
+        assert matrix[1, 4] == whole[1, 4]
+        rows, peers = np.array([5, 0, 2]), np.array([[1, 2], [3, 4], [0, 5]])
+        assert matrix[rows[:, None], peers].tolist() == whole[rows[:, None], peers].tolist()
+    for empty in (make_distance_fn(MetricKind.DOMAIN)([]),
+                  make_distance_fn(MetricKind.TRASH_BITS)([]), fn([])):
+        assert empty.shape == (0, 0)
+        assert read_all(empty).shape == (0, 0)
 
 
 def test_make_distance_fn_requires_genealogy_source():
@@ -136,16 +155,55 @@ def test_make_distance_fn_requires_genealogy_source():
         make_distance_fn(MetricKind.GENEALOGICAL_TREE)
 
 
+def test_distance_matrices_match_pairwise_metrics_on_evolved_pools():
+    # Every generation's whole pool (survivors, newborns and immigrants,
+    # before retain) and its survivors (after retain), under every metric:
+    # each matrix entry is the pairwise function's value, bit for bit.
+    problem = RoutingProblem()
+    config = EngineConfig(
+        population_size=12,
+        diversity=DiversityConfig(MetricKind.GENEALOGICAL_TREE, weight=4.0),
+    )
+    rng = np.random.default_rng(44)
+    population, graph = initialize(config, rng, problem)
+    index = AncestryIndex.from_graph(graph)
+    fns = {kind: make_distance_fn(kind, index) for kind in MetricKind if kind is not MetricKind.NONE}
+    pair_fns = {
+        MetricKind.DOMAIN: lambda x, y: domain_distance(x.genome, y.genome),
+        MetricKind.TRASH_BITS: lambda x, y: tdist(x.trash, y.trash),
+        MetricKind.GENEALOGICAL_TREE: lambda x, y: graph.gdist(x.node, y.node),
+    }
+
+    def check(members):
+        for kind, fn in fns.items():
+            assert read_all(fn(members)).tolist() == reference_matrix(members, pair_fns[kind]), kind
+
+    for gen in range(1, 41):
+        born = {}
+        survivors = step_generation(
+            population, graph, config, problem, rng,
+            generation=gen, ancestry_index=index, registry=born,
+        )
+        check(population + list(born.values()))
+        index.retain(ind.node for ind in survivors)
+        check(survivors)
+        population = survivors
+    # Selection under shaping still leaves near-clones behind: zero entries
+    # off the diagonal are covered.
+    assert (read_all(fns[MetricKind.TRASH_BITS](population)) == 0.0).sum() > len(population)
+
+
 # ----------------------------------------------------------------------
 # fitness shaping
 # ----------------------------------------------------------------------
 
-def recording_distance(seen):
-    """A distance of 1 for every pair that notes which peers it was asked about."""
-    def fn(xs, ys):
-        seen.append([y.node for y in ys])
-        return [1.0] * len(ys)
-    return fn
+def peer_bits(size):
+    """``[i, j] = 2 ** j``: a sum of distinct peers' distances names the peers."""
+    return np.tile(2.0 ** np.arange(size), (size, 1))
+
+
+def decode_peers(total):
+    return [j for j in range(64) if round(total) >> j & 1]
 
 
 def test_augmented_fitness_adds_weighted_mean_distance():
@@ -153,37 +211,37 @@ def test_augmented_fitness_adds_weighted_mean_distance():
     population = make_population(rng)
     x = population[0]
     config = DiversityConfig(MetricKind.DOMAIN, weight=2.0, sample_size=3)
-    distance_fn = make_distance_fn(MetricKind.DOMAIN)
+    distances = make_distance_fn(MetricKind.DOMAIN)(population)
 
-    shaped, = augmented_fitness(population, [0], config, np.random.default_rng(7), distance_fn)
+    shaped, = augmented_fitness(population, [0], config, np.random.default_rng(7), distances)
     picked = draw_distinct_indices(np.random.default_rng(7), len(population), 3, exclude=0)
-    expected = x.raw_fitness + 2.0 * (
-        sum(domain_distance(x.genome, population[j].genome) for j in picked) / 3
-    )
-    assert shaped == expected
+    total = 0.0
+    for j in picked:
+        total += domain_distance(x.genome, population[j].genome)
+    assert shaped == x.raw_fitness + 2.0 * (total / 3)
 
 
 def test_augmented_fitness_excludes_self_by_index():
     rng = np.random.default_rng(35)
     population = make_population(rng)
+    population[2].raw_fitness = 0.0
     config = DiversityConfig(MetricKind.DOMAIN, weight=1.0, sample_size=5)
-    seen = []
     for _ in range(50):
-        augmented_fitness(population, [2], config, rng, recording_distance(seen))
-    for peers in seen:
-        assert len(peers) == len(set(peers)) == 5
-        assert population[2].node not in peers
-    assert len(seen) == 50
+        shaped, = augmented_fitness(population, [2], config, rng, peer_bits(6))
+        peers = decode_peers(shaped * 5)
+        assert len(peers) == 5
+        assert 2 not in peers
 
 
 def test_augmented_fitness_caps_peers_at_pool_size():
     rng = np.random.default_rng(36)
     population = make_population(rng, size=3)
     config = DiversityConfig(MetricKind.DOMAIN, weight=0.5, sample_size=5)
-    seen = []
-    shaped = augmented_fitness(population, [0], config, rng, recording_distance(seen))
-    assert sorted(seen[0]) == [population[1].node, population[2].node]
+    shaped = augmented_fitness(population, [0], config, rng, np.ones((3, 3)))
     assert shaped == [population[0].raw_fitness + 0.5]
+    population[0].raw_fitness = 0.0
+    shaped, = augmented_fitness(population, [0], config, rng, peer_bits(3))
+    assert decode_peers(shaped / 0.5 * 2) == [1, 2]
 
 
 def test_augmented_fitness_lonely_individual_gets_raw():
@@ -191,11 +249,20 @@ def test_augmented_fitness_lonely_individual_gets_raw():
     population = make_population(rng, size=1)
     config = DiversityConfig(MetricKind.DOMAIN, weight=1.0)
     state_before = rng.bit_generator.state
-    seen = []
-    shaped = augmented_fitness(population, [0, 0], config, rng, recording_distance(seen))
+    shaped = augmented_fitness(population, [0, 0], config, rng, np.zeros((1, 1)))
     assert shaped == [0.0, 0.0]
-    assert seen == []
     assert rng.bit_generator.state == state_before
+
+
+def test_augmented_fitness_of_no_indices_is_empty():
+    population = make_population(np.random.default_rng(47), size=4)
+    config = DiversityConfig(MetricKind.DOMAIN, weight=1.0, sample_size=3)
+    rng = np.random.default_rng(48)
+    state = rng.bit_generator.state
+    distances = make_distance_fn(MetricKind.DOMAIN)(population)
+    assert augmented_fitness(population, [], config, rng, distances) == []
+    assert augmented_fitness(population, [], config, rng, read_all(distances)) == []
+    assert rng.bit_generator.state == state
 
 
 def test_augmented_fitness_batch_replays_one_call_per_index():
@@ -203,14 +270,27 @@ def test_augmented_fitness_batch_replays_one_call_per_index():
     indices = [4, 0, 8, 4, 1, 2, 3, 5, 6, 7]
     for kind in (MetricKind.DOMAIN, MetricKind.TRASH_BITS):
         config = DiversityConfig(kind, weight=1.5, sample_size=5)
-        distance_fn = make_distance_fn(kind)
+        distances = make_distance_fn(kind)(population)
         batched = np.random.default_rng(43)
         one_by_one = np.random.default_rng(43)
-        assert augmented_fitness(population, indices, config, batched, distance_fn) == [
-            augmented_fitness(population, [i], config, one_by_one, distance_fn)[0]
+        assert augmented_fitness(population, indices, config, batched, distances) == [
+            augmented_fitness(population, [i], config, one_by_one, distances)[0]
             for i in indices
         ]
         assert batched.random() == one_by_one.random()
+
+
+def test_augmented_fitness_sums_peers_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum of these three
+    # peer distances is 0.0; a compensated sum would give 1.0.
+    population = make_population(np.random.default_rng(45), size=4)
+    population[0].raw_fitness = 0.0
+    config = DiversityConfig(MetricKind.DOMAIN, weight=1.0, sample_size=3)
+    rng = np.random.default_rng(46)
+    peers = draw_distinct_indices(np.random.default_rng(46), 4, 3, exclude=0)
+    distances = np.zeros((4, 4))
+    distances[0, peers] = [1e16, 1.0, -1e16]
+    assert augmented_fitness(population, [0], config, rng, distances) == [0.0]
 
 
 def test_diversity_config_validation():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from genediv.diversity import DiversityConfig, MetricKind
+from genediv.diversity import (
+    DiversityConfig,
+    MetricKind,
+    augmented_fitness,
+    draw_distinct_indices,
+    make_distance_fn,
+)
 from genediv.engine import (
     EngineConfig,
     Individual,
@@ -72,30 +78,68 @@ def _individual(node, fitness):
                       raw_fitness=fitness)
 
 
+def raw_scores(pool):
+    return lambda js: [pool[j].raw_fitness for j in js]
+
+
 def test_tournament_single_member_pool():
     rng = np.random.default_rng(53)
     pool = [_individual(0, 1.0)]
-    assert tournament_select(pool, 2, lambda j: pool[j].raw_fitness, rng) is pool[0]
+    assert tournament_select(pool, 2, raw_scores(pool), rng) is pool[0]
 
 
 def test_tournament_picks_higher_fitness():
     rng = np.random.default_rng(54)
     pool = [_individual(0, 5.0), _individual(1, 3.0)]
     for _ in range(20):
-        assert tournament_select(pool, 2, lambda j: pool[j].raw_fitness, rng).node == 0
+        assert tournament_select(pool, 2, raw_scores(pool), rng).node == 0
 
 
 def test_tournament_tie_goes_to_smaller_node_id():
     rng = np.random.default_rng(55)
     pool = [_individual(3, 5.0), _individual(1, 5.0), _individual(2, 5.0)]
     for _ in range(20):
-        assert tournament_select(pool, 3, lambda j: pool[j].raw_fitness, rng).node == 1
+        assert tournament_select(pool, 3, raw_scores(pool), rng).node == 1
 
 
 def test_tournament_rejects_empty_pool():
     rng = np.random.default_rng(56)
     with pytest.raises(ValueError):
-        tournament_select([], 2, lambda j: 0.0, rng)
+        tournament_select([], 2, raw_scores([]), rng)
+
+
+def test_tournament_scores_candidates_in_one_call_as_one_call_each():
+    # One augmented_fitness call for all candidates draws their peer sets
+    # back to back, as one call per candidate would: same winner, same state.
+    population = [
+        Individual(node=i, genome=PROBLEM.random_genome(np.random.default_rng(i)),
+                   trash=np.zeros(32, np.uint8), raw_fitness=float(i % 3))
+        for i in range(12)
+    ]
+    config = DiversityConfig(MetricKind.DOMAIN, weight=0.5, sample_size=5)
+    distances = make_distance_fn(MetricKind.DOMAIN)(population)
+    for seed in range(40):
+        for k in (1, 2, 3, 12):
+            calls = []
+
+            def batched(js):
+                calls.append(list(js))
+                return augmented_fitness(population, js, config, rng, distances)
+
+            rng = np.random.default_rng(seed)
+            winner = tournament_select(population, k, batched, rng)
+            assert len(calls) == 1 and len(calls[0]) == k
+
+            reference = np.random.default_rng(seed)
+            candidates = draw_distinct_indices(reference, len(population), k)
+            scores = [
+                augmented_fitness(population, [j], config, reference, distances)[0]
+                for j in candidates
+            ]
+            best = max(zip(scores, (-population[j].node for j in candidates), candidates))[2]
+            assert winner is population[best]
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random() == reference.random()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from genediv.experiment import (
     RAW_HEADER,
     ExperimentSpec,
     GridSpec,
+    _mean_std,
     dump_genealogy,
     format_real,
     grid_search,
@@ -181,3 +182,12 @@ def test_dump_round_trip_preserves_distances(tmp_path):
         a = int(rng.integers(len(reloaded)))
         b = int(rng.integers(len(reloaded)))
         assert reloaded.gdist(a, b) == reference.graph.gdist(a, b)
+
+
+def test_mean_std_sums_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16: a left-to-right sum is 0.0 on every
+    # Python version, where 3.12's compensated builtin sum gives 1.0.
+    mean, std = _mean_std([1e16, 1.0, -1e16])
+    assert mean == 0.0
+    assert std == ((1e16 ** 2 + 1.0 + 1e16 ** 2) / 3) ** 0.5
+    assert _mean_std([2.0, 4.0]) == (3.0, 1.0)

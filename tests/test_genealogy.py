@@ -417,11 +417,9 @@ def _evolving_index(rng, generations, size=8, before_retain=None):
 
 
 def _check_every_pair(g, index, nodes):
-    xs = [x for t, x in enumerate(nodes) for _ in nodes[t:]]
-    ys = [y for t in range(len(nodes)) for y in nodes[t:]]
-    expected = [g.gdist(x, y) for x, y in zip(xs, ys)]
-    assert index.gdist_pairs(xs, ys) == expected
-    assert index.gdist_pairs(ys, xs) == expected
+    r = np.arange(len(nodes))
+    read = index.gdist_among(nodes)
+    assert read(r[:, None], r).tolist() == [[g.gdist(x, y) for y in nodes] for x in nodes]
     for x in nodes:
         assert index.depth(x) == g.depth(x)
 
@@ -431,7 +429,8 @@ def test_ancestry_index_matches_graph_under_retain():
     for g, index, alive in _evolving_index(rng, generations=60, before_retain=_check_every_pair):
         _check_every_pair(g, index, alive)
         assert [index.gdist(alive[0], o) for o in alive] == [g.gdist(alive[0], o) for o in alive]
-        assert index.gdist_pairs([], []) == []
+        empty = np.arange(0)
+        assert index.gdist_among([])(empty[:, None], empty).shape == (0, 0)
 
 
 def test_ancestry_index_columns_are_the_live_ancestry():
@@ -464,8 +463,8 @@ def test_ancestry_index_dropped_node_raises_key_error():
         lambda: index.gdist(0, 1),
         lambda: index.gdist(1, 0),
         lambda: index.gdist(0, 0),
-        lambda: index.gdist_pairs([0, 0], [1, 2]),
-        lambda: index.gdist_pairs([1, 1], [2, 0]),
+        lambda: index.gdist_among([0, 1, 2]),
+        lambda: index.gdist_among([1, 2, 0]),
         lambda: index.depth(0),
     ):
         with pytest.raises(KeyError):

@@ -220,3 +220,45 @@ def test_routing_problem_validation_and_dispatch():
         RoutingProblem(step_norm="manhattan")
     with pytest.raises(ValueError):
         RoutingProblem(sigma=-1.0)
+
+
+def _grazing_genomes(rng, count):
+    """Actions on a 0.05 grid, so positions land on the obstacle's edges and
+    corners and on the arena bounds, where a move is allowed or rejected by
+    a boundary comparison."""
+    return [rng.integers(-10, 11, size=(GENOME_LENGTH, 2)) * 0.05 for _ in range(count)]
+
+
+@pytest.mark.parametrize("step_norm", ["l1", "linf"])
+def test_evaluate_is_simulate_fitness(step_norm):
+    rng = np.random.default_rng(26)
+    side = Arena(
+        bounds=Rect(0.0, 0.0, 1.0, 1.0),
+        start=(0.4, 0.2),  # on the obstacle's left edge
+        goal=Rect(0.6, 0.6, 1.0, 1.0),
+        obstacle=Rect(0.4, 0.3, 0.6, 0.5),
+    )
+    grazed = 0
+    for arena in (DEFAULT_ARENA, side):
+        problem = RoutingProblem(arena=arena, step_norm=step_norm)
+        genomes = [random_genome(rng) for _ in range(300)] + _grazing_genomes(rng, 300)
+        for g in genomes:
+            result = simulate(g, arena, step_norm)
+            assert problem.evaluate(g) == result.raw_fitness
+            edges = (arena.obstacle.x0, arena.obstacle.x1, arena.bounds.x0, arena.bounds.x1)
+            grazed += bool(np.isin(result.trajectory[1:, 0], edges).any())
+    assert grazed > 100
+
+
+def test_evaluate_rejects_what_simulate_rejects():
+    problem = RoutingProblem()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        genome = zeros()
+        genome[3] = (0.1, bad)
+        with pytest.raises(ValueError) as want:
+            simulate(genome)
+        with pytest.raises(ValueError) as got:
+            problem.evaluate(genome)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="shape"):
+        problem.evaluate(np.zeros((10, 3)))
