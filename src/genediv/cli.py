@@ -46,10 +46,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
     engine = build_engine_config(cfg)
-    variants = [
-        (kind.value, kind, variant_weight(cfg, kind) if kind is not MetricKind.NONE else 0.0)
-        for kind in cfg["run.variants"]
-    ]
+    variants = [(kind.value, kind, variant_weight(cfg, kind)) for kind in cfg["run.variants"]]
     spec = ExperimentSpec(
         variants=variants,
         seeds=seeds_from(cfg),

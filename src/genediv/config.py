@@ -166,9 +166,6 @@ _SCHEMA: dict[str, tuple] = {
     "step_norm": (_parse_step_norm, "l1"),
 }
 
-CONFIG_KEYS = tuple(_SCHEMA)
-
-
 def env_name(key: str) -> str:
     """Environment-variable name overriding a config key."""
     return ENV_PREFIX + key.replace(".", "_").upper()
@@ -210,7 +207,7 @@ def load_config(
     for key in _SCHEMA:
         override = environ.get(env_name(key))
         if override is not None:
-            raw[key] = override
+            raw[key] = override.strip()
     return {key: _SCHEMA[key][0](key, raw[key]) for key in _SCHEMA}
 
 
@@ -230,8 +227,9 @@ def build_problem(cfg: dict[str, object]) -> RoutingProblem:
 
 
 def variant_weight(cfg: dict[str, object], kind: MetricKind) -> float:
-    """The configured diversity weight for a metric kind (``lambda.<kind>``)."""
-    return cfg[f"lambda.{kind.value}"]
+    """The diversity weight of a metric kind: ``lambda.<kind>``, except 0.0
+    for the baseline, which ignores ``lambda.none``."""
+    return 0.0 if kind is MetricKind.NONE else cfg[f"lambda.{kind.value}"]
 
 
 def build_engine_config(
@@ -239,7 +237,7 @@ def build_engine_config(
 ) -> EngineConfig:
     """Assemble an :class:`EngineConfig` for one variant."""
     if weight is None:
-        weight = variant_weight(cfg, kind) if kind is not MetricKind.NONE else 0.0
+        weight = variant_weight(cfg, kind)
     engine = EngineConfig(
         population_size=cfg["engine.population_size"],
         generations=cfg["engine.generations"],

@@ -20,12 +20,13 @@ On top of the raw graph this module provides:
   a slower reference distance used to sanity-check ``gdist``.
 * ``AncestryIndex`` -- an incremental index over the individuals still
   alive.  It keeps, for every pair of them, how close their nearest common
-  ancestor sits, updated from the parents' entries at each birth, so a
-  ``gdist`` query costs O(1) per pair.  Per-individual ancestor distances
-  over the live ancestry (the ancestors of the individuals still alive) are
-  kept only to compute each newborn's depth.  Memory is bounded by the
-  living individuals and their live ancestry rather than by every node ever
-  born, so it is fast enough for use inside a selection loop.
+  ancestor sits, updated from the parents' entries at each birth, and each
+  one's depth; a ``gdist`` query derives the distance from these in O(1) per
+  pair.  Per-individual ancestor distances over the live ancestry (the
+  ancestors of the individuals still alive) are kept only to compute each
+  newborn's depth.  Memory is bounded by the living individuals and their
+  live ancestry rather than by every node ever born, so it is fast enough
+  for use inside a selection loop.
 
 Plain-text logs of the graph (one node per line) can be written and read
 back with :func:`write_genealogy_log` / :func:`read_genealogy_log`.
@@ -124,7 +125,8 @@ class GenealogyGraph:
         """Map every ancestor of ``node`` (including itself) to its ``adist``.
 
         Breadth-first search over parent edges; because edges shorten ids,
-        this visits each ancestor once.
+        this visits each ancestor once.  The map lists ancestors in the
+        order visited, so their ``adist`` never decreases along it.
         """
         node = self._check(node)
         dist = {node: 0}
@@ -163,25 +165,34 @@ class GenealogyGraph:
                     queue.append(p)
         return INFINITE
 
+    def _closest_common(self, x1: int, x2: int) -> tuple[int | None, int | None, int]:
+        """``(closeness, node, depth)``: the common ancestor closest to either
+        individual (ties to the smallest id; both ``None`` without one), and
+        the larger of the two individuals' depths."""
+        d1 = self.ancestor_distances(x1)
+        d2 = self.ancestor_distances(x2)
+        # Each map lists its node's farthest ancestor last.
+        depth = max(next(reversed(d1.values())), next(reversed(d2.values())))
+        if len(d2) < len(d1):
+            d1, d2 = d2, d1
+        best = node = None
+        for a, da in d1.items():
+            db = d2.get(a)
+            if db is None:
+                continue
+            if db < da:
+                da = db
+            if best is None or da < best or (da == best and a < node):
+                best, node = da, a
+        return best, node, depth
+
     def latest_common_ancestor(self, x1: int, x2: int) -> int | None:
         """Common ancestor closest to either individual, or ``None``.
 
         "Closest" minimises ``min(adist(a, x1), adist(a, x2))``; ties go to
         the smallest node id.
         """
-        d1 = self.ancestor_distances(x1)
-        d2 = self.ancestor_distances(x2)
-        if len(d2) < len(d1):
-            d1, d2 = d2, d1
-        best: tuple[int, int] | None = None
-        for a, da in d1.items():
-            db = d2.get(a)
-            if db is None:
-                continue
-            key = (min(da, db), a)
-            if best is None or key < best:
-                best = key
-        return None if best is None else best[1]
+        return self._closest_common(x1, x2)[1]
 
     def earliest_ancestor(self, x: int) -> int:
         """Ancestor with the largest ``adist`` to ``x`` (smallest id on ties).
@@ -214,24 +225,12 @@ class GenealogyGraph:
         x2 = self._check(x2)
         if x1 == x2:
             return 0.0
-        d1 = self.ancestor_distances(x1)
-        d2 = self.ancestor_distances(x2)
-        denom = max(max(d1.values()), max(d2.values()))
-        if len(d2) < len(d1):
-            d1, d2 = d2, d1
-        num: int | None = None
-        for a, da in d1.items():
-            db = d2.get(a)
-            if db is None:
-                continue
-            score = min(da, db)
-            if num is None or score < num:
-                num = score
-        if num is None:
+        closeness, _, depth = self._closest_common(x1, x2)
+        if closeness is None:
             return 1.0
-        if denom == 0:
+        if depth == 0:
             return 0.0
-        return num / denom
+        return closeness / depth
 
     def edist_oracle(self, x1: int, x2: int) -> int | float:
         """Shortest-path length between two nodes ignoring edge direction.
@@ -363,8 +362,8 @@ class AncestryIndex:
     node, its ``adist`` from every node of the *live ancestry* (every node
     some tracked node descends from, in birth order); a child's row is the
     element-wise minimum of its parents' rows plus one.  These rows serve
-    nothing else.  With both parts known, ``add`` stores the newborn's
-    ``gdist`` to every tracked node, so a query reads one table entry.
+    nothing else.  ``add`` keeps only closeness and depth; a query derives
+    ``gdist`` from two closeness entries and two depths per pair.
 
     Nodes must be added in birth order while their parents are still
     tracked.  :meth:`retain`, called after selection, drops the dead
@@ -381,7 +380,6 @@ class AncestryIndex:
         self._rows: dict[int, int] = {}  # tracked node -> row; rows are dense
         self._depth = np.empty(16, dtype=np.int64)  # row -> its node's depth
         self._near = np.empty((16, 16), dtype=np.int32)  # row x row
-        self._gdist = np.empty((16, 16), dtype=np.float64)  # row x row
         self._dist = np.full((16, 64), _UNREACHED, dtype=np.int32)  # row x column
         self._nodes = np.empty(64, dtype=np.int64)  # column -> node id
 
@@ -412,11 +410,9 @@ class AncestryIndex:
         dist[:used, : self._width] = self._dist[:used, : self._width]
         self._dist = dist
         if new_rows > old_rows:
-            for name in ("_near", "_gdist"):
-                old = getattr(self, name)
-                grown = np.empty((new_rows, new_rows), dtype=old.dtype)
-                grown[:used, :used] = old[:used, :used]
-                setattr(self, name, grown)
+            near = np.empty((new_rows, new_rows), dtype=np.int32)
+            near[:used, :used] = self._near[:used, :used]
+            self._near = near
             self._depth = np.resize(self._depth, new_rows)
         self._nodes = np.resize(self._nodes, new_cols)
 
@@ -437,13 +433,9 @@ class AncestryIndex:
             vec[:col] = _UNREACHED
             near[row, :row] = _UNREACHED
             near[:row, row] = _UNREACHED
-        elif len(parent_rows) == 1:
-            p = parent_rows[0]
-            np.add(dist[p, :col], 1, out=vec[:col])
-            np.add(near[p, :row], 1, out=near[row, :row])
-            near[:row, row] = near[:row, p]
         else:
-            p, q = parent_rows
+            # A mutant is its own second parent: min(x, x) == x.
+            p, q = parent_rows[0], parent_rows[-1]
             np.minimum(dist[p, :col], dist[q, :col], out=vec[:col])
             vec[:col] += 1
             np.minimum(near[p, :row], near[q, :row], out=near[row, :row])
@@ -451,19 +443,7 @@ class AncestryIndex:
             np.minimum(near[:row, p], near[:row, q], out=near[:row, row])
         vec[col] = 0
         near[row, row] = 0
-        depth = self._depth
-        depth[row] = np.where(vec < _UNREACHED, vec, 0).max()
-        # gdist to every tracked node.  A real numerator never exceeds the
-        # larger depth, and an _UNREACHED one always does, so clamping at 1
-        # gives 1.0 exactly to pairs without a common ancestor.  Depth 0 means
-        # genesis, whose only common ancestor is itself, so a zero
-        # denominator can be read as 1.
-        g = np.minimum(near[row, : row + 1], near[: row + 1, row]) / np.maximum(
-            depth[: row + 1], max(depth[row], 1)
-        )
-        np.minimum(g, 1.0, out=g)
-        self._gdist[row, : row + 1] = g
-        self._gdist[: row + 1, row] = g
+        self._depth[row] = np.where(vec < _UNREACHED, vec, 0).max()
         self._rows[node] = row
         self._nodes[col] = node
         self._width += 1
@@ -472,16 +452,30 @@ class AncestryIndex:
     def depth(self, node: int) -> int:
         return int(self._depth[self._rows[node]])
 
+    def _gdist_rows(self, ra, rb):
+        """``gdist`` between the nodes of rows ``ra`` and ``rb`` (scalars or
+        arrays that broadcast together)."""
+        near, depth = self._near, self._depth
+        # A real numerator never exceeds the larger depth, and an _UNREACHED
+        # one always does, so clamping at 1 gives 1.0 exactly to pairs without
+        # a common ancestor.  Depth 0 means genesis, whose only common
+        # ancestor is itself, so a zero denominator can be read as 1.
+        g = np.minimum(near[ra, rb], near[rb, ra]) / np.maximum(
+            np.maximum(depth[ra], depth[rb]), 1
+        )
+        return np.minimum(g, 1.0)
+
     def gdist(self, a: int, b: int) -> float:
         """Same contract as :meth:`GenealogyGraph.gdist`, for tracked nodes."""
-        return float(self.gdist_among((a, b))(0, 1))
+        return float(self._gdist_rows(self._rows[a], self._rows[b]))
 
     def gdist_among(self, nodes) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``read(a, b)``: ``gdist(nodes[a], nodes[b])`` for integer index
-        arrays ``a`` and ``b`` that broadcast together, one table entry per
-        pair.  Valid until the next :meth:`retain`."""
+        arrays ``a`` and ``b`` that broadcast together, derived from two
+        closeness entries and two depths per pair.  Valid until the next
+        :meth:`retain`; births in between do not disturb it."""
         rows = np.array([self._rows[x] for x in nodes], dtype=np.intp)
-        return lambda a, b: self._gdist[rows[a], rows[b]]
+        return lambda a, b: self._gdist_rows(rows[a], rows[b])
 
     def retain(self, alive) -> None:
         """Drop every node not listed in ``alive``, then every column that no
@@ -501,7 +495,6 @@ class AncestryIndex:
         dist[:, new_width:width] = _UNREACHED
         self._nodes[first:new_width] = self._nodes[first:width][tail]
         self._near[:m, :m] = self._near.take(rows, 0).take(rows, 1)
-        self._gdist[:m, :m] = self._gdist.take(rows, 0).take(rows, 1)
         self._depth[:m] = self._depth[rows]
         self._rows = dict(zip(kept, range(m)))
         self._width = new_width

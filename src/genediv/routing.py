@@ -197,9 +197,9 @@ def domain_distance(g1: np.ndarray, g2: np.ndarray) -> float:
     return float(np.abs(g1 - g2).sum())
 
 
-def random_genome(rng: np.random.Generator, length: int = GENOME_LENGTH) -> np.ndarray:
+def random_genome(rng: np.random.Generator) -> np.ndarray:
     """Fresh genome with every component uniform in [-0.5, 0.5)."""
-    return rng.uniform(-STEP_BUDGET, STEP_BUDGET, size=(length, 2))
+    return rng.uniform(-STEP_BUDGET, STEP_BUDGET, size=(GENOME_LENGTH, 2))
 
 
 def mutate_genome(genome: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -227,7 +227,6 @@ class RoutingProblem:
     arena: Arena = DEFAULT_ARENA
     sigma: float = DEFAULT_SIGMA
     step_norm: str = "l1"
-    genome_length: int = GENOME_LENGTH
 
     def __post_init__(self) -> None:
         if self.step_norm not in STEP_NORMS:
@@ -236,20 +235,15 @@ class RoutingProblem:
             )
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.genome_length < 1:
-            raise ValueError(f"genome length must be positive, got {self.genome_length}")
 
     def random_genome(self, rng: np.random.Generator) -> np.ndarray:
-        return random_genome(rng, self.genome_length)
+        return random_genome(rng)
 
     def mutate(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return mutate_genome(genome, self.sigma, rng)
 
     def crossover(self, g1: np.ndarray, g2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return crossover_genome(g1, g2, rng)
-
-    def simulate(self, genome: np.ndarray) -> SimulationResult:
-        return simulate(genome, self.arena, self.step_norm)
 
     def evaluate(self, genome: np.ndarray) -> int:
         """``simulate(genome).raw_fitness``, without building the trajectory."""

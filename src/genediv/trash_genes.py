@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TAU = 32
-
 
 def random_trash(tau: int, rng: np.random.Generator) -> np.ndarray:
     """Return a fresh marker vector of ``tau`` uniform random bits."""

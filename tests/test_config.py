@@ -69,6 +69,12 @@ def test_environment_overrides_file(tmp_path):
     assert cfg["run.base_seed"] == 42
 
 
+def test_environment_values_are_stripped_like_file_values(tmp_path):
+    path = write_cfg(tmp_path, "step_norm =  linf \n")
+    assert load_config(path, environ={})["step_norm"] == "linf"
+    assert load_config(path, environ={"GENEDIV_STEP_NORM": " l1"})["step_norm"] == "l1"
+
+
 def test_env_name_mapping():
     assert env_name("engine.population_size") == "GENEDIV_ENGINE_POPULATION_SIZE"
     assert env_name("step_norm") == "GENEDIV_STEP_NORM"
@@ -160,6 +166,12 @@ def test_build_engine_config_per_variant():
     baseline = build_engine_config(cfg)
     assert baseline.diversity.kind is MetricKind.NONE
     assert baseline.diversity.weight == 0.0
+
+    # The baseline ignores lambda.none, wherever its weight is looked up.
+    cfg = load_config(None, environ={"GENEDIV_LAMBDA_NONE": "3.0"})
+    assert cfg["lambda.none"] == 3.0
+    assert variant_weight(cfg, MetricKind.NONE) == 0.0
+    assert build_engine_config(cfg).diversity.weight == 0.0
 
     pinned = build_engine_config(cfg, MetricKind.DOMAIN, weight=0.125)
     assert pinned.diversity.weight == 0.125

@@ -433,6 +433,38 @@ def test_ancestry_index_matches_graph_under_retain():
         assert index.gdist_among([])(empty[:, None], empty).shape == (0, 0)
 
 
+def test_ancestry_index_reader_outlives_storage_growth():
+    # The engine's tournament pattern: a reader over the survivors is made
+    # before a generation's births and read while they arrive.  Three small
+    # generations stay within the first 16-row allocation; the last one's
+    # births grow it past 16 and then 32 rows under the live reader.
+    rng = np.random.default_rng(18)
+    g = GenealogyGraph()
+    index = AncestryIndex()
+    alive = [g.record_birth((), OpKind.GENESIS, 0) for _ in range(8)]
+    for node in alive:
+        index.add(node, ())
+    r = np.arange(len(alive))
+    for gen, births in enumerate((7, 7, 7, 40), 1):
+        read = index.gdist_among(alive)
+        expected = [[g.gdist(x, y) for y in alive] for x in alive]
+        pool = list(alive)
+        sizes = set()
+        for _ in range(births):
+            if rng.random() < 0.5:
+                parents = (alive[int(rng.integers(len(alive)))],)
+            else:
+                parents = tuple(alive[int(i)] for i in rng.choice(len(alive), 2, replace=False))
+            kind = (OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION)[len(parents)]
+            pool.append(g.record_birth(parents, kind, gen))
+            index.add(pool[-1], parents)
+            sizes.add(index._near.shape[0])
+            assert read(r[:, None], r).tolist() == expected
+        alive = sorted(int(n) for n in rng.choice(pool, len(alive), replace=False))
+        index.retain(alive)
+    assert sizes == {16, 32, 64}
+
+
 def test_ancestry_index_columns_are_the_live_ancestry():
     rng = np.random.default_rng(17)
     for g, index, alive in _evolving_index(rng, generations=60):
