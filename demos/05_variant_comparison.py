@@ -18,6 +18,16 @@ VARIANTS = [
     ("trash_bits", MetricKind.TRASH_BITS, 2.0),
 ]
 
+
+def mean(values):
+    """Summed left to right: Python 3.12's builtin ``sum`` compensates float
+    rounding, which would change the printed averages between versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 problem = RoutingProblem()
 print(f"{len(list(SEEDS))} seeds x {GENERATIONS} generations, population 20\n")
 
@@ -28,10 +38,7 @@ for name, kind, weight in VARIANTS:
         diversity=DiversityConfig(kind=kind, weight=weight),
     )
     traces = [run_evolution(config, problem, seed=seed).trace for seed in SEEDS]
-    curves[name] = [
-        sum(trace[g].mean_raw_fitness for trace in traces) / len(traces)
-        for g in range(GENERATIONS)
-    ]
+    curves[name] = [mean([trace[g].mean_raw_fitness for trace in traces]) for g in range(GENERATIONS)]
     print(f"ran {name}")
 
 checkpoints = [1, 50, 100, 200, 300, 400]

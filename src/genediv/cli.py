@@ -2,8 +2,8 @@
 
 Subcommands::
 
-    genediv run            --config cfg --out dir    # variant comparison CSVs
-    genediv grid           --config cfg --metric kind --out dir
+    genediv run            --config cfg --out dir [--jobs n]   # variant comparison CSVs
+    genediv grid           --config cfg --metric kind --out dir [--jobs n]
     genediv dump-genealogy --config cfg --seed n --out file [--variant kind]
 
 Exit codes: 0 on success, 1 for configuration errors (the message names the
@@ -54,7 +54,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         problem=problem,
         output_path=Path(args.out),
     )
-    result = run_experiment(spec)
+    result = run_experiment(spec, jobs=args.jobs)
     for name, path in result.raw_paths.items():
         print(f"wrote {path}")
     print(f"wrote {result.aggregate_path}")
@@ -76,7 +76,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         problem=build_problem(cfg),
         output_path=Path(args.out),
     )
-    result = grid_search(spec)
+    result = grid_search(spec, jobs=args.jobs)
     for lam, mean, std in result.rows:
         print(f"lambda={format_real(lam)} mean_final={format_real(mean)} std={format_real(std)}")
     print(f"best lambda for {kind.value}: {format_real(result.best_lambda)}")
@@ -98,6 +98,14 @@ def _cmd_dump_genealogy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes for the independent runs, at most one per usable CPU "
+             "(default: one per usable CPU; 1 runs in this process)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genediv",
@@ -108,12 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run all configured variants and write CSVs")
     p_run.add_argument("--config", default=None, help="path to a key = value config file")
     p_run.add_argument("--out", required=True, help="output directory for CSV files")
+    _add_jobs(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_grid = sub.add_parser("grid", help="sweep diversity weights for one metric")
     p_grid.add_argument("--config", default=None, help="path to a key = value config file")
     p_grid.add_argument("--metric", required=True, help="metric kind to sweep")
     p_grid.add_argument("--out", required=True, help="output directory for CSV files")
+    _add_jobs(p_grid)
     p_grid.set_defaults(func=_cmd_grid)
 
     p_dump = sub.add_parser("dump-genealogy", help="run once and write the ancestry log")

@@ -50,6 +50,15 @@ def test_run_defaults_when_no_config(tmp_path, monkeypatch):
     assert len(lines) == 1 + 3  # one seed, three generations
 
 
+@pytest.mark.parametrize("command", [["run"], ["grid", "--metric", "trash_bits"]])
+def test_jobs_below_one_names_key(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    argv = [*command, "--config", write_cfg(tmp_path), "--out", str(out), "--jobs", "0"]
+    assert main(argv) == 1
+    assert "'jobs'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("engine.size = 5\n")
@@ -149,7 +158,7 @@ def test_non_utf8_config_exits_1(tmp_path, capsys):
 
 
 def test_internal_value_error_propagates(tmp_path, monkeypatch):
-    def broken(spec):
+    def broken(spec, jobs=None):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(genediv.cli, "run_experiment", broken)

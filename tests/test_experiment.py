@@ -1,9 +1,13 @@
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
 import pytest
 
+import genediv.experiment
 from genediv import DiversityConfig, EngineConfig, MetricKind, RoutingProblem
+from genediv.config import ConfigError
 from genediv.experiment import (
     AGGREGATE_HEADER,
     GRID_HEADER,
@@ -11,6 +15,7 @@ from genediv.experiment import (
     ExperimentSpec,
     GridSpec,
     _mean_std,
+    _worker_count,
     dump_genealogy,
     format_real,
     grid_search,
@@ -99,6 +104,88 @@ def test_format_real_is_fixed_width():
     assert format_real(0.5) == "0.500000"
     assert format_real(10) == "10.000000"
     assert format_real(1 / 3) == "0.333333"
+
+
+# ----------------------------------------------------------------------
+# parallel runs
+# ----------------------------------------------------------------------
+
+ALL_VARIANTS = [
+    ("none", MetricKind.NONE, 0.0),
+    ("domain", MetricKind.DOMAIN, 1.0),
+    ("genealogical_tree", MetricKind.GENEALOGICAL_TREE, 4.0),
+    ("trash_bits", MetricKind.TRASH_BITS, 2.0),
+]
+
+
+class FaultyProblem(RoutingProblem):
+    """Fails on its first evaluation, naming the process it ran in."""
+
+    def evaluate(self, genome):
+        raise ValueError(f"evaluate failed in process {os.getpid()}")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the machine has, so ``jobs=2`` starts a pool."""
+    monkeypatch.setattr(genediv.experiment, "_usable_cpus", lambda: 2)
+
+
+def trace_fields(traces):
+    return {
+        key: [
+            (r.generation, r.mean_raw_fitness, r.best_raw_fitness,
+             r.mean_probe_diversity, r.best_genome.tolist())
+            for r in rows
+        ]
+        for key, rows in traces.items()
+    }
+
+
+def test_worker_count_bounds():
+    assert _worker_count(None, runs=40, cpus=2) == 2
+    assert _worker_count(None, runs=1, cpus=8) == 1
+    assert _worker_count(10**9, runs=12, cpus=10**6) == 12
+    assert _worker_count(10**9, runs=10**9, cpus=2) == 2
+    assert _worker_count(1, runs=40, cpus=8) == 1
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError) as info:
+            _worker_count(jobs, runs=4, cpus=2)
+        assert info.value.key == "jobs"
+
+
+def test_run_experiment_jobs_give_identical_outputs(tmp_path, two_cpus):
+    one = run_experiment(tiny_spec(tmp_path / "one", variants=ALL_VARIANTS), jobs=1)
+    two = run_experiment(tiny_spec(tmp_path / "two", variants=ALL_VARIANTS), jobs=2)
+    assert list(two.traces) == list(one.traces)
+    assert trace_fields(two.traces) == trace_fields(one.traces)
+    paths = [*one.raw_paths.values(), one.aggregate_path]
+    assert len(paths) == 5
+    for path in paths:
+        assert (tmp_path / "two" / path.name).read_bytes() == path.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_search_jobs_give_identical_outputs(tmp_path, two_cpus):
+    one = grid_search(grid_spec(tmp_path / "one", [0.0, 0.5, 2.0]), jobs=1)
+    two = grid_search(grid_spec(tmp_path / "two", [0.0, 0.5, 2.0]), jobs=2)
+    assert two.rows == one.rows
+    assert two.best_lambda == one.best_lambda
+    assert two.path.read_bytes() == one.path.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_fault_surfaces_as_itself(tmp_path, two_cpus):
+    spec = tiny_spec(tmp_path / "ok")
+    run_experiment(spec, jobs=2)
+    assert multiprocessing.active_children() == []
+
+    spec = tiny_spec(tmp_path / "bad")
+    spec.problem = FaultyProblem()
+    with pytest.raises(ValueError, match=r"^evaluate failed in process \d+$") as info:
+        run_experiment(spec, jobs=2)
+    assert int(str(info.value).split()[-1]) != os.getpid()  # raised in a worker
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
