@@ -7,7 +7,8 @@ defaults, config file, environment variables, command-line flags.
 
 Environment overrides use the ``GENEDIV_`` prefix with dots mapped to
 underscores and upper-casing, e.g. ``engine.population_size`` becomes
-``GENEDIV_ENGINE_POPULATION_SIZE``.
+``GENEDIV_ENGINE_POPULATION_SIZE``; a ``GENEDIV_`` variable that matches no
+key is rejected, like an unknown key in the file.
 
 Every error raised here is a :class:`ConfigError` naming the offending key.
 """
@@ -54,39 +55,24 @@ def _parse_float(key: str, text: str) -> float:
     return value
 
 
-def _parse_positive_int(key: str, text: str) -> int:
-    value = _parse_int(key, text)
-    if value < 1:
-        raise ConfigError(key, f"expected an integer >= 1, got {value}")
-    return value
+def _bounded(parse, within, expected: str):
+    """A parser that applies ``parse``, then rejects any value not ``within``
+    the bound with ``expected <bound>, got <value>``."""
+
+    def parser(key: str, text: str):
+        value = parse(key, text)
+        if not within(value):
+            raise ConfigError(key, f"expected {expected}, got {value}")
+        return value
+
+    return parser
 
 
-def _parse_nonneg_int(key: str, text: str) -> int:
-    value = _parse_int(key, text)
-    if value < 0:
-        raise ConfigError(key, f"expected an integer >= 0, got {value}")
-    return value
-
-
-def _parse_probability(key: str, text: str) -> float:
-    value = _parse_float(key, text)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(key, f"expected a probability in [0, 1], got {value}")
-    return value
-
-
-def _parse_positive_float(key: str, text: str) -> float:
-    value = _parse_float(key, text)
-    if value <= 0.0:
-        raise ConfigError(key, f"expected a number > 0, got {value}")
-    return value
-
-
-def _parse_nonneg_float(key: str, text: str) -> float:
-    value = _parse_float(key, text)
-    if value < 0.0:
-        raise ConfigError(key, f"expected a number >= 0, got {value}")
-    return value
+_parse_positive_int = _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1")
+_parse_nonneg_int = _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0")
+_parse_probability = _bounded(_parse_float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
+_parse_positive_float = _bounded(_parse_float, lambda v: v > 0.0, "a number > 0")
+_parse_nonneg_float = _bounded(_parse_float, lambda v: v >= 0.0, "a number >= 0")
 
 
 def _parse_floats(key: str, text: str, count: int) -> tuple[float, ...]:
@@ -204,10 +190,12 @@ def load_config(
     raw = {key: default for key, (_, default) in _SCHEMA.items()}
     if path is not None:
         raw.update(read_config_file(path))
-    for key in _SCHEMA:
-        override = environ.get(env_name(key))
-        if override is not None:
-            raw[key] = override.strip()
+    overrides = {env_name(key): key for key in _SCHEMA}
+    for name in sorted(environ):
+        if name.startswith(ENV_PREFIX):
+            if name not in overrides:
+                raise ConfigError(name, "environment variable matches no configuration key")
+            raw[overrides[name]] = environ[name].strip()
     return {key: _SCHEMA[key][0](key, raw[key]) for key in _SCHEMA}
 
 

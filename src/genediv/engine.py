@@ -26,7 +26,10 @@ per generation: mutation gates (one uniform per member), per-mutant draws,
 crossover gates, then per-recombination draws (tournament candidates, the
 candidates' peer samples for shaped fitness in draw order, genome mask,
 trash mask), immigrant draws, peer samples for the pooled shaped evaluation
-in pool order, and finally the probe-sample indices for the trace row.  A
+in pool order, and finally the probe-sample indices for the trace row.
+Every birth -- initial member, mutant, recombinant or immigrant -- follows
+one rule: its kind's genome operator draws first, then the same kind's
+marker operator, and recording and evaluating the child draw nothing.  A
 tournament scores its candidates together and the pool is scored at once,
 each in one :func:`~genediv.diversity.augmented_fitness` call whose peer
 plan consumes the stream exactly as one draw per member would, so the order
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -141,6 +144,42 @@ class RunResult:
     individuals: dict[int, Individual] | None = None
 
 
+def _spawner(
+    graph: GenealogyGraph,
+    problem: RoutingProblem,
+    rng: np.random.Generator,
+    tau: int,
+    generation: int = 0,
+    ancestry_index: AncestryIndex | None = None,
+    registry: dict[int, Individual] | None = None,
+) -> Callable[..., Individual]:
+    """``spawn(kind, *parents)``: the one way an individual is born, by the
+    birth rule above.  It records the child in ``graph`` and
+    ``ancestry_index``, scores it and files it in ``registry``."""
+
+    def spawn(kind: OpKind, *parents: Individual) -> Individual:
+        # Each kind's genome operator is evaluated before its marker operator.
+        if kind is OpKind.GENESIS:
+            genome, trash = problem.random_genome(rng), random_trash(tau, rng)
+        elif kind is OpKind.MUTATION:
+            (p,) = parents
+            genome, trash = problem.mutate(p.genome, rng), flip_one_bit(p.trash, rng)
+        else:
+            p, q = parents
+            genome = problem.crossover(p.genome, q.genome, rng)
+            trash = uniform_cross(p.trash, q.trash, rng)
+        nodes = [p.node for p in parents]
+        node = graph.record_birth(nodes, kind, generation)
+        if ancestry_index is not None:
+            ancestry_index.add(node, nodes)
+        child = Individual(node, genome, trash, float(problem.evaluate(genome)))
+        if registry is not None:
+            registry[node] = child
+        return child
+
+    return spawn
+
+
 def initialize(
     config: EngineConfig,
     rng: np.random.Generator,
@@ -151,13 +190,17 @@ def initialize(
     if problem is None:
         problem = RoutingProblem()
     graph = GenealogyGraph()
-    population = []
-    for _ in range(config.population_size):
-        genome = problem.random_genome(rng)
-        trash = random_trash(config.tau, rng)
-        node = graph.record_birth((), OpKind.GENESIS, 0)
-        population.append(Individual(node, genome, trash, float(problem.evaluate(genome))))
-    return population, graph
+    spawn = _spawner(graph, problem, rng, config.tau)
+    return [spawn(OpKind.GENESIS) for _ in range(config.population_size)], graph
+
+
+def _ranked(
+    scores: list[float], members: list[Individual]
+) -> Iterator[tuple[float, int, Individual]]:
+    """``(-score, node, member)`` per member, so that the tuples' order is
+    the selection order: highest score first, ties to the smaller (older)
+    node id.  Node ids are unique, so members are never compared."""
+    return zip([-s for s in scores], [m.node for m in members], members)
 
 
 def tournament_select(
@@ -174,18 +217,7 @@ def tournament_select(
     if not pool:
         raise ValueError("tournament pool must not be empty")
     candidates = draw_distinct_indices(rng, len(pool), min(k, len(pool)))
-    best: Individual | None = None
-    best_score = 0.0
-    for j, score in zip(candidates, scores_fn(candidates)):
-        candidate = pool[j]
-        if (
-            best is None
-            or score > best_score
-            or (score == best_score and candidate.node < best.node)
-        ):
-            best = candidate
-            best_score = score
-    return best
+    return min(_ranked(scores_fn(candidates), [pool[j] for j in candidates]))[2]
 
 
 def step_generation(
@@ -227,34 +259,17 @@ def step_generation(
 
     population_distances = None if distance_fn is None else distance_fn(population)
 
-    def spawn(parents: tuple[int, ...], kind: OpKind, genome, trash) -> Individual:
-        node = graph.record_birth(parents, kind, generation)
-        if ancestry_index is not None:
-            ancestry_index.add(node, parents)
-        child = Individual(node, genome, trash, float(problem.evaluate(genome)))
-        if registry is not None:
-            registry[node] = child
-        return child
-
+    spawn = _spawner(graph, problem, rng, config.tau, generation, ancestry_index, registry)
     offspring: list[Individual] = []
 
     gates = rng.random(n) < config.mutation_prob
     for i in range(n):
         if gates[i]:
-            parent = population[i]
-            offspring.append(
-                spawn(
-                    (parent.node,),
-                    OpKind.MUTATION,
-                    problem.mutate(parent.genome, rng),
-                    flip_one_bit(parent.trash, rng),
-                )
-            )
+            offspring.append(spawn(OpKind.MUTATION, population[i]))
 
     gates = rng.random(n) < config.crossover_prob
     for i in range(n):
         if gates[i]:
-            first = population[i]
             others = population[:i] + population[i + 1 :]
             if not others:
                 continue
@@ -265,24 +280,14 @@ def step_generation(
                 lambda js: shaped(population, [j + (j >= i) for j in js], population_distances),
                 rng,
             )
-            offspring.append(
-                spawn(
-                    (first.node, partner.node),
-                    OpKind.RECOMBINATION,
-                    problem.crossover(first.genome, partner.genome, rng),
-                    uniform_cross(first.trash, partner.trash, rng),
-                )
-            )
+            offspring.append(spawn(OpKind.RECOMBINATION, population[i], partner))
 
     for _ in range(config.immigrants_per_gen):
-        offspring.append(
-            spawn((), OpKind.GENESIS, problem.random_genome(rng), random_trash(config.tau, rng))
-        )
+        offspring.append(spawn(OpKind.GENESIS))
 
     pool = population + offspring
     scores = shaped(pool, range(len(pool)), None if distance_fn is None else distance_fn(pool))
-    order = sorted(range(len(pool)), key=lambda j: (-scores[j], pool[j].node))
-    return [pool[j] for j in order[: config.population_size]]
+    return [ind for _, _, ind in sorted(_ranked(scores, pool))[: config.population_size]]
 
 
 def _probe_diversity(
@@ -312,14 +317,11 @@ def _trace_row(
     distance_fn,
     rng: np.random.Generator,
 ) -> TraceRow:
-    best = population[0]
+    raw = [ind.raw_fitness for ind in population]
     total = 0.0
-    for ind in population:
-        total += ind.raw_fitness
-        if ind.raw_fitness > best.raw_fitness or (
-            ind.raw_fitness == best.raw_fitness and ind.node < best.node
-        ):
-            best = ind
+    for value in raw:
+        total += value
+    best = min(_ranked(raw, population))[2]
     probe = _probe_diversity(population, distance_fn, rng)
     return TraceRow(
         generation=generation,

@@ -33,6 +33,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from .config import ConfigError
 from .diversity import DiversityConfig, MetricKind
@@ -157,6 +158,25 @@ def _run_traces(
             raise
 
 
+def _run_batch(
+    spec: ExperimentSpec | GridSpec, settings: list[tuple[MetricKind, float]], jobs: int | None
+) -> tuple[Path, Iterator[list[TraceRow]]]:
+    """Validate ``spec``, make its output directory and run every
+    ``(kind, weight)`` setting over every seed; return the directory and the
+    traces, settings outer and seeds inner.  Nothing is written when the
+    spec or ``jobs`` is invalid."""
+    spec.validate()
+    tasks = [
+        (_engine_for(spec.engine, kind, weight), spec.problem, seed)
+        for kind, weight in settings
+        for seed in spec.seeds
+    ]
+    workers = _worker_count(jobs, len(tasks), _usable_cpus())
+    out_dir = Path(spec.output_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, iter(_run_traces(tasks, workers))
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> ExperimentResult:
     """Run every (variant, seed) pair and write the CSVs.
 
@@ -164,16 +184,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> ExperimentR
     at most one per usable CPU and per run; with one worker they run in
     this process.  The CSVs are the same bytes for every worker count.
     """
-    spec.validate()
-    tasks = [
-        (_engine_for(spec.engine, kind, weight), spec.problem, seed)
-        for _, kind, weight in spec.variants
-        for seed in spec.seeds
-    ]
-    workers = _worker_count(jobs, len(tasks), _usable_cpus())
-    out_dir = Path(spec.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    done = iter(_run_traces(tasks, workers))
+    out_dir, done = _run_batch(spec, [(kind, weight) for _, kind, weight in spec.variants], jobs)
 
     raw_paths: dict[str, Path] = {}
     traces: dict[tuple[str, int], list[TraceRow]] = {}
@@ -249,16 +260,7 @@ def grid_search(spec: GridSpec, jobs: int | None = None) -> GridResult:
 
     The (weight, seed) runs are spread over workers as in ``run_experiment``.
     """
-    spec.validate()
-    tasks = [
-        (_engine_for(spec.engine, spec.kind, lam), spec.problem, seed)
-        for lam in spec.lambda_values
-        for seed in spec.seeds
-    ]
-    workers = _worker_count(jobs, len(tasks), _usable_cpus())
-    out_dir = Path(spec.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    done = iter(_run_traces(tasks, workers))
+    out_dir, done = _run_batch(spec, [(spec.kind, lam) for lam in spec.lambda_values], jobs)
 
     rows: list[tuple[float, float, float]] = []
     best_lambda = spec.lambda_values[0]
@@ -287,7 +289,6 @@ def dump_genealogy(
     """Run one evolution and write its full ancestry log to ``output_path``."""
     result = run_evolution(engine, problem, seed=seed)
     path = Path(output_path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_genealogy_log(result.graph, path)
     return path

@@ -1,10 +1,11 @@
 """Ancestry tracking for evolutionary runs, with distance queries.
 
 Every individual ever created is a node in an append-only directed acyclic
-graph.  A node records which variation operator produced it (creation from
-scratch, mutation of one parent, or recombination of two parents) and edges
-point from parents to children, so node ids are assigned in birth order and
-every ancestor of a node has a smaller id than the node itself.
+graph.  The variation operator that produced a node follows from its parent
+count (none for creation from scratch, one for mutation, two for
+recombination).  Edges point from parents to children, so node ids are
+assigned in birth order and every ancestor of a node has a smaller id than
+the node itself.
 
 On top of the raw graph this module provides:
 
@@ -63,16 +64,16 @@ _ARITY = {
     OpKind.MUTATION: 1,
     OpKind.RECOMBINATION: 2,
 }
+_KIND_OF_ARITY = {arity: kind for kind, arity in _ARITY.items()}
 
 
 class GenealogyGraph:
     """Append-only DAG of every individual created during a run."""
 
-    __slots__ = ("_parents", "_kinds", "_birth_gen")
+    __slots__ = ("_parents", "_birth_gen")
 
     def __init__(self) -> None:
         self._parents: list[tuple[int, ...]] = []
-        self._kinds: list[OpKind] = []
         self._birth_gen: list[int] = []
 
     def __len__(self) -> int:
@@ -98,7 +99,6 @@ class GenealogyGraph:
         n = len(self._parents)
         _check_birth(parents, kind, n)
         self._parents.append(parents)
-        self._kinds.append(kind)
         self._birth_gen.append(int(generation))
         return n
 
@@ -112,7 +112,7 @@ class GenealogyGraph:
         return self._parents[self._check(node)]
 
     def kind(self, node: int) -> OpKind:
-        return self._kinds[self._check(node)]
+        return _KIND_OF_ARITY[len(self._parents[self._check(node)])]
 
     def birth_generation(self, node: int) -> int:
         return self._birth_gen[self._check(node)]
@@ -200,18 +200,12 @@ class GenealogyGraph:
         A node created from scratch is its own earliest ancestor.
         """
         dist = self.ancestor_distances(x)
-        best_node = x
-        best = (-1, 0)
-        for a, d in dist.items():
-            key = (d, -a)
-            if key > best:
-                best = key
-                best_node = a
-        return best_node
+        farthest = next(reversed(dist.values()))
+        return min(a for a, d in dist.items() if d == farthest)
 
     def depth(self, x: int) -> int:
         """``adist`` from the earliest ancestor of ``x`` down to ``x``."""
-        return max(self.ancestor_distances(x).values())
+        return next(reversed(self.ancestor_distances(x).values()))
 
     def gdist(self, x1: int, x2: int) -> float:
         """Normalised genealogical distance between two individuals.
@@ -302,7 +296,6 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
     :meth:`GenealogyGraph.record_birth`, and appended directly.
     """
     parents_of: list[tuple[int, ...]] = []
-    kinds: list[OpKind] = []
     generations: list[int] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -325,10 +318,9 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
             raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
         _check_birth(parents, kind, n)
         parents_of.append(parents)
-        kinds.append(kind)
         generations.append(generation)
     graph = GenealogyGraph()
-    graph._parents, graph._kinds, graph._birth_gen = parents_of, kinds, generations
+    graph._parents, graph._birth_gen = parents_of, generations
     return graph
 
 

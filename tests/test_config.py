@@ -75,6 +75,14 @@ def test_environment_values_are_stripped_like_file_values(tmp_path):
     assert load_config(path, environ={"GENEDIV_STEP_NORM": " l1"})["step_norm"] == "l1"
 
 
+def test_misspelt_environment_override_names_variable():
+    env = {"GENEDIV_ENGINE_GENERATION": "5", "GENEDIV_RUN_BASE_SEED": "42", "HOME": "/"}
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, environ=env)
+    assert exc.value.key == "GENEDIV_ENGINE_GENERATION"
+    assert "GENEDIV_ENGINE_GENERATION" in str(exc.value)
+
+
 def test_env_name_mapping():
     assert env_name("engine.population_size") == "GENEDIV_ENGINE_POPULATION_SIZE"
     assert env_name("step_norm") == "GENEDIV_STEP_NORM"

@@ -250,6 +250,18 @@ def test_best_fitness_monotone_without_shaping():
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
 
 
+def test_truncation_and_trace_best_tie_to_smaller_node_id():
+    class FlatProblem(RoutingProblem):
+        def evaluate(self, genome):
+            return 3
+
+    config = small_config(population_size=8, generations=1)
+    result = run_evolution(config, FlatProblem(), seed=72, keep_all=True)
+    assert len(result.individuals) > 8  # offspring were born and then dropped
+    assert [ind.node for ind in result.population] == list(range(8))
+    assert np.array_equal(result.trace[0].best_genome, result.individuals[0].genome)
+
+
 def test_zero_weight_variant_replays_baseline_evolution():
     baseline = small_config(generations=40)
     for kind in (MetricKind.DOMAIN, MetricKind.TRASH_BITS, MetricKind.GENEALOGICAL_TREE):
