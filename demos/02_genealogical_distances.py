@@ -7,7 +7,7 @@ history together with the undirected reference distance (edist).
 
 import numpy as np
 
-from genediv import GenealogyGraph, OpKind
+from genediv import GenealogyGraph
 
 # ----------------------------------------------------------------------
 # a hand-built family
@@ -20,12 +20,12 @@ from genediv import GenealogyGraph, OpKind
 #        3   5  (3 recombines 1+2, 5 mutates 2)
 #
 graph = GenealogyGraph()
-graph.record_birth((), OpKind.GENESIS, 0)        # 0
-graph.record_birth((0,), OpKind.MUTATION, 1)     # 1
-graph.record_birth((0,), OpKind.MUTATION, 1)     # 2
-graph.record_birth((1, 2), OpKind.RECOMBINATION, 2)  # 3
-graph.record_birth((), OpKind.GENESIS, 2)        # 4
-graph.record_birth((2,), OpKind.MUTATION, 2)     # 5
+graph.record_birth((), 0)      # 0
+graph.record_birth((0,), 1)    # 1
+graph.record_birth((0,), 1)    # 2
+graph.record_birth((1, 2), 2)  # 3
+graph.record_birth((), 2)      # 4
+graph.record_birth((2,), 2)    # 5
 
 print("hand-built history (6 nodes):")
 print(f"  adist(0 -> 3) = {graph.adist(0, 3)}   two variation steps down")
@@ -50,15 +50,15 @@ big = GenealogyGraph()
 for i in range(300):
     roll = rng.random()
     if i == 0 or roll < 0.1:
-        big.record_birth((), OpKind.GENESIS, i)
+        big.record_birth((), i)
     elif i == 1 or roll < 0.6:
-        big.record_birth((int(rng.integers(i)),), OpKind.MUTATION, i)
+        big.record_birth((int(rng.integers(i)),), i)
     else:
         a = int(rng.integers(i))
         b = int(rng.integers(i))
         while b == a:
             b = int(rng.integers(i))
-        big.record_birth((a, b), OpKind.RECOMBINATION, i)
+        big.record_birth((a, b), i)
 
 print("random history (300 nodes): gdist vs. undirected path length")
 print(f"  {'pair':>12s} {'gdist':>7s} {'edist':>6s}")

@@ -10,7 +10,7 @@ experiment harness are included for comparing the resulting algorithms.
 
 from .diversity import DiversityConfig, MetricKind, augmented_fitness
 from .engine import EngineConfig, run_evolution
-from .genealogy import GenealogyGraph, OpKind, read_genealogy_log
+from .genealogy import GenealogyGraph, read_genealogy_log
 from .routing import DEFAULT_ARENA, Arena, Rect, RoutingProblem, random_genome, simulate
 from .trash_genes import flip_one_bit, random_trash, tdist, uniform_cross
 
@@ -25,7 +25,6 @@ __all__ = [
     "EngineConfig",
     "GenealogyGraph",
     "MetricKind",
-    "OpKind",
     "Rect",
     "RoutingProblem",
     "augmented_fitness",

@@ -221,11 +221,9 @@ def variant_weight(cfg: dict[str, object], kind: MetricKind) -> float:
 
 
 def build_engine_config(
-    cfg: dict[str, object], kind: MetricKind = MetricKind.NONE, weight: float | None = None
+    cfg: dict[str, object], kind: MetricKind = MetricKind.NONE
 ) -> EngineConfig:
-    """Assemble an :class:`EngineConfig` for one variant."""
-    if weight is None:
-        weight = variant_weight(cfg, kind)
+    """Assemble an :class:`EngineConfig` for one variant, weighted by ``lambda.<kind>``."""
     engine = EngineConfig(
         population_size=cfg["engine.population_size"],
         generations=cfg["engine.generations"],
@@ -235,7 +233,7 @@ def build_engine_config(
         immigrants_per_gen=cfg["engine.immigrants_per_gen"],
         tau=cfg["engine.tau"],
         diversity=DiversityConfig(
-            kind=kind, weight=weight, sample_size=cfg["diversity.sample_size"]
+            kind=kind, weight=variant_weight(cfg, kind), sample_size=cfg["diversity.sample_size"]
         ),
     )
     try:

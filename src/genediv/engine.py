@@ -28,12 +28,13 @@ candidates' peer samples for shaped fitness in draw order, genome mask,
 trash mask), immigrant draws, peer samples for the pooled shaped evaluation
 in pool order, and finally the probe-sample indices for the trace row.
 Every birth -- initial member, mutant, recombinant or immigrant -- follows
-one rule: its kind's genome operator draws first, then the same kind's
-marker operator, and recording and evaluating the child draw nothing.  A
-tournament scores its candidates together and the pool is scored at once,
-each in one :func:`~genediv.diversity.augmented_fitness` call whose peer
-plan consumes the stream exactly as one draw per member would, so the order
-above holds.  The distances are read from one member-by-member matrix:
+one rule: its parent count picks the operators (none: random genome and
+markers; one: mutation; two: crossover), the genome operator draws first,
+then the marker operator, and recording and evaluating the child draw
+nothing.  A tournament scores its candidates together and the pool is
+scored at once, each in one :func:`~genediv.diversity.augmented_fitness`
+call whose peer plan consumes the stream exactly as one draw per member
+would, so the order above holds.  The distances are read from one member-by-member matrix:
 the population's for the tournaments and the pool's for truncation; each
 read computes only the peer entries it selects and draws nothing.  Shaping
 with the ``none`` kind or a zero weight is inert: shaped fitness is then
@@ -57,7 +58,7 @@ from .diversity import (
     draw_distinct_indices,
     make_distance_fn,
 )
-from .genealogy import AncestryIndex, GenealogyGraph, OpKind
+from .genealogy import AncestryIndex, GenealogyGraph
 from .routing import RoutingProblem, SettingError
 from .trash_genes import flip_one_bit, random_trash, uniform_cross
 
@@ -153,15 +154,16 @@ def _spawner(
     ancestry_index: AncestryIndex | None = None,
     registry: dict[int, Individual] | None = None,
 ) -> Callable[..., Individual]:
-    """``spawn(kind, *parents)``: the one way an individual is born, by the
-    birth rule above.  It records the child in ``graph`` and
-    ``ancestry_index``, scores it and files it in ``registry``."""
+    """``spawn(*parents)``: the one way an individual is born, by the birth
+    rule above.  No parent makes a random individual, one a mutant and two a
+    recombinant.  It records the child in ``graph`` and ``ancestry_index``,
+    scores it and files it in ``registry``."""
 
-    def spawn(kind: OpKind, *parents: Individual) -> Individual:
-        # Each kind's genome operator is evaluated before its marker operator.
-        if kind is OpKind.GENESIS:
+    def spawn(*parents: Individual) -> Individual:
+        # The genome operator is evaluated before the marker operator.
+        if not parents:
             genome, trash = problem.random_genome(rng), random_trash(tau, rng)
-        elif kind is OpKind.MUTATION:
+        elif len(parents) == 1:
             (p,) = parents
             genome, trash = problem.mutate(p.genome, rng), flip_one_bit(p.trash, rng)
         else:
@@ -169,7 +171,7 @@ def _spawner(
             genome = problem.crossover(p.genome, q.genome, rng)
             trash = uniform_cross(p.trash, q.trash, rng)
         nodes = [p.node for p in parents]
-        node = graph.record_birth(nodes, kind, generation)
+        node = graph.record_birth(nodes, generation)
         if ancestry_index is not None:
             ancestry_index.add(node, nodes)
         child = Individual(node, genome, trash, float(problem.evaluate(genome)))
@@ -191,7 +193,7 @@ def initialize(
         problem = RoutingProblem()
     graph = GenealogyGraph()
     spawn = _spawner(graph, problem, rng, config.tau)
-    return [spawn(OpKind.GENESIS) for _ in range(config.population_size)], graph
+    return [spawn() for _ in range(config.population_size)], graph
 
 
 def _ranked(
@@ -265,7 +267,7 @@ def step_generation(
     gates = rng.random(n) < config.mutation_prob
     for i in range(n):
         if gates[i]:
-            offspring.append(spawn(OpKind.MUTATION, population[i]))
+            offspring.append(spawn(population[i]))
 
     gates = rng.random(n) < config.crossover_prob
     for i in range(n):
@@ -280,10 +282,10 @@ def step_generation(
                 lambda js: shaped(population, [j + (j >= i) for j in js], population_distances),
                 rng,
             )
-            offspring.append(spawn(OpKind.RECOMBINATION, population[i], partner))
+            offspring.append(spawn(population[i], partner))
 
     for _ in range(config.immigrants_per_gen):
-        offspring.append(spawn(OpKind.GENESIS))
+        offspring.append(spawn())
 
     pool = population + offspring
     scores = shaped(pool, range(len(pool)), None if distance_fn is None else distance_fn(pool))

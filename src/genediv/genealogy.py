@@ -47,24 +47,15 @@ INFINITE = math.inf
 
 
 class OpKind(Enum):
-    """Variation operator that produced an individual."""
+    """Variation operator that produced an individual, declared in the order
+    of its parent count."""
 
     GENESIS = "genesis"
     MUTATION = "mutation"
     RECOMBINATION = "recombination"
 
-    @property
-    def arity(self) -> int:
-        """Number of parents the operator consumes."""
-        return _ARITY[self]
 
-
-_ARITY = {
-    OpKind.GENESIS: 0,
-    OpKind.MUTATION: 1,
-    OpKind.RECOMBINATION: 2,
-}
-_KIND_OF_ARITY = {arity: kind for kind, arity in _ARITY.items()}
+_KINDS = tuple(OpKind)  # indexed by parent count: 0, 1 or 2
 
 
 class GenealogyGraph:
@@ -83,21 +74,17 @@ class GenealogyGraph:
         """All node ids, in birth order."""
         return range(len(self._parents))
 
-    def record_birth(
-        self,
-        parents: tuple[int, ...] | list[int],
-        kind: OpKind | str,
-        generation: int = 0,
-    ) -> int:
+    def record_birth(self, parents: tuple[int, ...] | list[int], generation: int = 0) -> int:
         """Append a new node and return its id.
 
-        ``parents`` must already be recorded and must match the arity of
-        ``kind`` (0 for genesis, 1 for mutation, 2 for recombination).
+        The parent count is the operator: none for genesis, one for mutation,
+        two for recombination.  ``parents`` must already be recorded.
         """
-        kind = OpKind(kind)
-        parents = tuple(int(p) for p in parents)
+        parents = tuple(map(int, parents))
+        if len(parents) > 2:
+            raise ValueError(f"a birth takes at most 2 parents, got {len(parents)}")
         n = len(self._parents)
-        _check_birth(parents, kind, n)
+        _check_parents(parents, n)
         self._parents.append(parents)
         self._birth_gen.append(int(generation))
         return n
@@ -112,7 +99,7 @@ class GenealogyGraph:
         return self._parents[self._check(node)]
 
     def kind(self, node: int) -> OpKind:
-        return _KIND_OF_ARITY[len(self._parents[self._check(node)])]
+        return _KINDS[len(self._parents[self._check(node)])]
 
     def birth_generation(self, node: int) -> int:
         return self._birth_gen[self._check(node)]
@@ -277,23 +264,19 @@ def write_genealogy_log(graph: GenealogyGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _check_birth(parents: tuple[int, ...], kind: OpKind, n: int) -> None:
-    """Reject parents that do not fit ``kind`` or are not among the first ``n`` nodes."""
-    if len(parents) != kind.arity:
-        raise ValueError(f"{kind.value} takes {kind.arity} parent(s), got {len(parents)}")
+def _check_parents(parents: tuple[int, ...], n: int) -> None:
+    """Reject parents that are not among the first ``n`` nodes."""
     for p in parents:
         if not 0 <= p < n:
             raise KeyError(f"unknown parent node id {p}")
 
 
-_KIND_OF = {kind.value: kind for kind in OpKind}
-
-
 def read_genealogy_log(path: str | Path) -> GenealogyGraph:
     """Rebuild a graph from the format produced by :func:`write_genealogy_log`.
 
-    Each line is parsed and checked once, with the rules of
-    :meth:`GenealogyGraph.record_birth`, and appended directly.
+    Each line is parsed and checked once and appended directly: its
+    ``op_kind`` must be the one its parent count gives, and its parents must
+    pass the checks of :meth:`GenealogyGraph.record_birth`.
     """
     parents_of: list[tuple[int, ...]] = []
     generations: list[int] = []
@@ -310,13 +293,17 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
             parents = tuple(map(int, fields[3:]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer field ({exc})") from None
-        kind = _KIND_OF.get(fields[2])
-        if kind is None:
-            raise ValueError(f"line {lineno}: unknown op kind {fields[2]!r}")
-        n = len(parents_of)
+        name, count, n = fields[2], len(parents), len(parents_of)
+        if count > 2 or name != _KINDS[count].value:
+            # Checked in order: the name, then the id, then the parent count.
+            named = [arity for arity, kind in enumerate(_KINDS) if kind.value == name]
+            if not named:
+                raise ValueError(f"line {lineno}: unknown op kind {name!r}")
+            if node == n:
+                raise ValueError(f"{name} takes {named[0]} parent(s), got {count}")
         if node != n:
             raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
-        _check_birth(parents, kind, n)
+        _check_parents(parents, n)
         parents_of.append(parents)
         generations.append(generation)
     graph = GenealogyGraph()

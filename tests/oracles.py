@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from genediv import GenealogyGraph, OpKind
+from genediv import GenealogyGraph
 
 
 def random_dag(rng: np.random.Generator, max_nodes: int = 100) -> GenealogyGraph:
@@ -23,16 +23,16 @@ def random_dag(rng: np.random.Generator, max_nodes: int = 100) -> GenealogyGraph
     for i in range(n):
         roll = float(rng.random())
         if i == 0 or roll < 0.15:
-            graph.record_birth((), OpKind.GENESIS, i)
+            graph.record_birth((), i)
         elif i == 1 or roll < 0.60:
             parent = int(rng.integers(i))
-            graph.record_birth((parent,), OpKind.MUTATION, i)
+            graph.record_birth((parent,), i)
         else:
             a = int(rng.integers(i))
             b = int(rng.integers(i))
             while b == a:
                 b = int(rng.integers(i))
-            graph.record_birth((a, b), OpKind.RECOMBINATION, i)
+            graph.record_birth((a, b), i)
     return graph
 
 

@@ -33,7 +33,6 @@ from genediv import (
     EngineConfig,
     GenealogyGraph,
     MetricKind,
-    OpKind,
     RoutingProblem,
     flip_one_bit,
     random_trash,
@@ -222,15 +221,15 @@ def test_criterion_5_gdist_properties_and_fixtures(capsys):
             checks += 1
 
     siblings = GenealogyGraph()
-    siblings.record_birth((), OpKind.GENESIS, 0)
-    siblings.record_birth((0,), OpKind.MUTATION, 1)
-    siblings.record_birth((0,), OpKind.MUTATION, 1)
+    siblings.record_birth((), 0)
+    siblings.record_birth((0,), 1)
+    siblings.record_birth((0,), 1)
     if siblings.gdist(1, 2) != 1.0:
         violations += 1
     chain = GenealogyGraph()
-    chain.record_birth((), OpKind.GENESIS, 0)
-    chain.record_birth((0,), OpKind.MUTATION, 1)
-    chain.record_birth((1,), OpKind.MUTATION, 2)
+    chain.record_birth((), 0)
+    chain.record_birth((0,), 1)
+    chain.record_birth((1,), 2)
     if chain.gdist(1, 2) != 0.0 or chain.gdist(0, 2) != 0.0:
         violations += 1
     checks += 2

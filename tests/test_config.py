@@ -181,9 +181,6 @@ def test_build_engine_config_per_variant():
     assert variant_weight(cfg, MetricKind.NONE) == 0.0
     assert build_engine_config(cfg).diversity.weight == 0.0
 
-    pinned = build_engine_config(cfg, MetricKind.DOMAIN, weight=0.125)
-    assert pinned.diversity.weight == 0.125
-
 
 def test_build_engine_config_cross_field_check(tmp_path):
     path = write_cfg(tmp_path, "engine.population_size = 2\nengine.immigrants_per_gen = 2\n")

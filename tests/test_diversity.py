@@ -10,7 +10,7 @@ from genediv.diversity import (
     make_distance_fn,
 )
 from genediv.engine import EngineConfig, Individual, initialize, step_generation
-from genediv.genealogy import AncestryIndex, GenealogyGraph, OpKind
+from genediv.genealogy import AncestryIndex, GenealogyGraph
 from genediv.routing import RoutingProblem, domain_distance
 from genediv.trash_genes import tdist
 
@@ -18,7 +18,7 @@ from genediv.trash_genes import tdist
 def make_population(rng, size=6, graph=None):
     population = []
     for i in range(size):
-        node = graph.record_birth((), OpKind.GENESIS) if graph is not None else i
+        node = graph.record_birth(()) if graph is not None else i
         population.append(
             Individual(
                 node=node,

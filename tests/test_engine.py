@@ -179,20 +179,26 @@ def test_step_rejects_wrong_population_size():
 
 
 def test_recombination_children_inherit_trash_bitwise():
-    rng = np.random.default_rng(60)
+    # The parent count picks the operators: a two-parent child mixes its
+    # parents, a one-parent child is a single-bit, single-action mutant.
     config = small_config(generations=30)
     result = run_evolution(config, PROBLEM, seed=0, keep_all=True)
-    recombinations = [
-        node for node in result.graph.nodes()
-        if result.graph.kind(node) is OpKind.RECOMBINATION
-    ]
+    graph, individuals = result.graph, result.individuals
+    recombinations = [node for node in graph.nodes() if len(graph.parents(node)) == 2]
+    mutants = [node for node in graph.nodes() if len(graph.parents(node)) == 1]
     assert recombinations, "expected some recombination births"
+    assert mutants, "expected some mutation births"
     for node in recombinations:
-        p1, p2 = result.graph.parents(node)
-        child = result.individuals[node].trash
-        t1 = result.individuals[p1].trash
-        t2 = result.individuals[p2].trash
+        p1, p2 = graph.parents(node)
+        child = individuals[node].trash
+        t1 = individuals[p1].trash
+        t2 = individuals[p2].trash
         assert np.all((child == t1) | (child == t2))
+    for node in mutants:
+        (p,) = graph.parents(node)
+        child, parent = individuals[node], individuals[p]
+        assert np.count_nonzero(child.trash != parent.trash) == 1
+        assert np.count_nonzero((child.genome != parent.genome).any(axis=1)) <= 1
 
 
 def test_graph_growth_respects_upper_bound():

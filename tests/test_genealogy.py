@@ -25,25 +25,25 @@ from oracles import (
 def chain(length=4):
     """0 -> 1 -> 2 -> ... by successive mutations."""
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS, 0)
+    g.record_birth((), 0)
     for i in range(1, length):
-        g.record_birth((i - 1,), OpKind.MUTATION, i)
+        g.record_birth((i - 1,), i)
     return g
 
 
 def siblings():
     """One genesis parent with two mutation children."""
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS, 0)
-    g.record_birth((0,), OpKind.MUTATION, 1)
-    g.record_birth((0,), OpKind.MUTATION, 1)
+    g.record_birth((), 0)
+    g.record_birth((0,), 1)
+    g.record_birth((0,), 1)
     return g
 
 
 def diamond():
     """Two mutation children of node 0, recombined into node 3."""
     g = siblings()
-    g.record_birth((1, 2), OpKind.RECOMBINATION, 2)
+    g.record_birth((1, 2), 2)
     return g
 
 
@@ -53,36 +53,28 @@ def diamond():
 
 def test_record_birth_assigns_sequential_ids():
     g = GenealogyGraph()
-    assert g.record_birth((), OpKind.GENESIS) == 0
-    assert g.record_birth((0,), OpKind.MUTATION) == 1
+    assert g.record_birth(()) == 0
+    assert g.record_birth((0,)) == 1
     assert len(g) == 2
     assert g.parents(1) == (0,)
     assert g.kind(0) is OpKind.GENESIS
 
 
-def test_record_birth_accepts_kind_names():
-    g = GenealogyGraph()
-    g.record_birth((), "genesis", 0)
-    g.record_birth((0,), "mutation", 1)
-    assert g.kind(1) is OpKind.MUTATION
-
-
 def test_record_birth_checks_arity():
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
-    with pytest.raises(ValueError):
-        g.record_birth((0,), OpKind.GENESIS)
-    with pytest.raises(ValueError):
-        g.record_birth((), OpKind.MUTATION)
-    with pytest.raises(ValueError):
-        g.record_birth((0,), OpKind.RECOMBINATION)
+    for _ in range(3):
+        g.record_birth(())
+    with pytest.raises(ValueError) as err:
+        g.record_birth((0, 1, 2))
+    assert err.value.args == ("a birth takes at most 2 parents, got 3",)
+    assert len(g) == 3
 
 
 def test_record_birth_rejects_unknown_parent():
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
+    g.record_birth(())
     with pytest.raises(KeyError):
-        g.record_birth((5,), OpKind.MUTATION)
+        g.record_birth((5,))
 
 
 def test_queries_reject_unknown_nodes():
@@ -114,8 +106,8 @@ def test_adist_on_chain():
 
 def test_adist_unrelated_is_infinite():
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
-    g.record_birth((), OpKind.GENESIS)
+    g.record_birth(())
+    g.record_birth(())
     assert g.adist(0, 1) is INFINITE
     assert math.isinf(g.adist(1, 0))
 
@@ -123,7 +115,7 @@ def test_adist_unrelated_is_infinite():
 def test_adist_takes_shortest_route():
     # 0 -> 1 -> 2 and the shortcut 0 -> 3 (recombining 0 and 2)
     g = chain(3)
-    g.record_birth((0, 2), OpKind.RECOMBINATION, 3)
+    g.record_birth((0, 2), 3)
     assert g.adist(0, 3) == 1
 
 
@@ -140,8 +132,8 @@ def test_latest_common_ancestor_on_fixtures():
 
 def test_latest_common_ancestor_none_for_disjoint():
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
-    g.record_birth((), OpKind.GENESIS)
+    g.record_birth(())
+    g.record_birth(())
     assert g.latest_common_ancestor(0, 1) is None
 
 
@@ -156,9 +148,9 @@ def test_earliest_ancestor():
 def test_earliest_ancestor_tie_breaks_to_smaller_id():
     # 0 and 1 are both roots at distance 1 from node 2.
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
-    g.record_birth((), OpKind.GENESIS)
-    g.record_birth((0, 1), OpKind.RECOMBINATION)
+    g.record_birth(())
+    g.record_birth(())
+    g.record_birth((0, 1))
     assert g.earliest_ancestor(2) == 0
 
 
@@ -179,8 +171,8 @@ def test_gdist_siblings_is_one():
 
 def test_gdist_disjoint_is_one():
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
-    g.record_birth((), OpKind.GENESIS)
+    g.record_birth(())
+    g.record_birth(())
     assert g.gdist(0, 1) == 1.0
 
 
@@ -194,8 +186,8 @@ def test_gdist_chain_parent_child_is_zero():
 def test_gdist_two_fresh_genesis_nodes_both_depth_zero():
     # no shared history and no history at all: still maximally distant
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
-    g.record_birth((), OpKind.GENESIS)
+    g.record_birth(())
+    g.record_birth(())
     assert g.gdist(0, 1) == 1.0
 
 
@@ -250,8 +242,8 @@ def test_edist_oracle_on_fixtures():
 
 def test_edist_oracle_disconnected():
     g = GenealogyGraph()
-    g.record_birth((), OpKind.GENESIS)
-    g.record_birth((), OpKind.GENESIS)
+    g.record_birth(())
+    g.record_birth(())
     assert math.isinf(g.edist_oracle(0, 1))
 
 
@@ -315,6 +307,9 @@ def test_read_log_rejects_bad_lines(tmp_path):
         ("0,0,genesis\n1,1,mutation, 0 x \n", ValueError,
          "line 2: non-integer field (invalid literal for int() with base 10: '0 x')"),
         ("0,0,genesis\n1,1,mutation,0,0\n", ValueError, "mutation takes 1 parent(s), got 2"),
+        ("0,0,genesis\n1,1,genesis,0\n", ValueError, "genesis takes 0 parent(s), got 1"),
+        ("0,0,genesis\n1,0,genesis\n2,0,genesis\n3,1,recombination,0,1,2\n", ValueError,
+         "recombination takes 2 parent(s), got 3"),
         ("0,0,genesis\n1,1,recombination,0,1\n", KeyError, "unknown parent node id 1"),
     ],
 )
@@ -373,8 +368,7 @@ def test_ancestry_index_grows_past_initial_allocation():
             parents = (int(rng.integers(i)),)
         else:
             parents = tuple(int(p) for p in rng.choice(i, size=2, replace=False))
-        kind = (OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION)[len(parents)]
-        index.add(g.record_birth(parents, kind, i), parents)
+        index.add(g.record_birth(parents, i), parents)
     assert index.live_ancestry() == list(range(300))
     for _ in range(200):
         a, b = (int(v) for v in rng.integers(300, size=2))
@@ -393,7 +387,7 @@ def _evolving_index(rng, generations, size=8, before_retain=None):
     index = AncestryIndex()
     alive = []
     for _ in range(size):
-        alive.append(g.record_birth((), OpKind.GENESIS, 0))
+        alive.append(g.record_birth((), 0))
         index.add(alive[-1], ())
     for gen in range(1, generations + 1):
         pool = list(alive)
@@ -406,8 +400,7 @@ def _evolving_index(rng, generations, size=8, before_retain=None):
             else:
                 i, j = rng.choice(size, size=2, replace=False)
                 parents = (alive[int(i)], alive[int(j)])
-            kind = (OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION)[len(parents)]
-            pool.append(g.record_birth(parents, kind, gen))
+            pool.append(g.record_birth(parents, gen))
             index.add(pool[-1], parents)
         if before_retain is not None:
             before_retain(g, index, pool)
@@ -441,7 +434,7 @@ def test_ancestry_index_reader_outlives_storage_growth():
     rng = np.random.default_rng(18)
     g = GenealogyGraph()
     index = AncestryIndex()
-    alive = [g.record_birth((), OpKind.GENESIS, 0) for _ in range(8)]
+    alive = [g.record_birth((), 0) for _ in range(8)]
     for node in alive:
         index.add(node, ())
     r = np.arange(len(alive))
@@ -455,8 +448,7 @@ def test_ancestry_index_reader_outlives_storage_growth():
                 parents = (alive[int(rng.integers(len(alive)))],)
             else:
                 parents = tuple(alive[int(i)] for i in rng.choice(len(alive), 2, replace=False))
-            kind = (OpKind.GENESIS, OpKind.MUTATION, OpKind.RECOMBINATION)[len(parents)]
-            pool.append(g.record_birth(parents, kind, gen))
+            pool.append(g.record_birth(parents, gen))
             index.add(pool[-1], parents)
             sizes.add(index._near.shape[0])
             assert read(r[:, None], r).tolist() == expected

@@ -9,7 +9,6 @@ PUBLIC = [
     "EngineConfig",
     "GenealogyGraph",
     "MetricKind",
-    "OpKind",
     "Rect",
     "RoutingProblem",
     "augmented_fitness",
