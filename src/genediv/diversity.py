@@ -18,7 +18,8 @@ arrays select, so scoring a pool of ``M`` members against ``k`` peers each
 costs ``M * k`` pairs at any population size.
 
 With the ``none`` kind or a zero weight shaping is inert: the engine then
-uses raw fitness directly and draws no peers (see :mod:`genediv.engine`).
+passes no matrix, and ``augmented_fitness(..., distances=None)`` returns the
+raw fitness and draws no peers (see :mod:`genediv.engine`).
 
 :func:`augmented_fitness` scores several members in one call: it draws all
 their peer sets in one plan (:func:`draw_peer_sets`), which consumes the
@@ -26,18 +27,31 @@ random stream exactly as one :func:`draw_distinct_indices` call per member
 would, and reads their distances from the pool's distance matrix, which the
 caller makes once per pool and reuses.
 The stream order, and so every result, is the same as one call per member.
+
+Every float sum that reaches an output is taken by :func:`sum_left`.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .genealogy import AncestryIndex
 from .routing import SettingError
+
+
+def sum_left(values: Iterable[float]) -> float:
+    """``values`` added left to right, starting from ``0.0``.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on, so it
+    would make an output depend on the interpreter; this does not.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class MetricKind(Enum):
@@ -200,7 +214,7 @@ def augmented_fitness(
     indices: Sequence[int],
     config: DiversityConfig,
     rng: np.random.Generator,
-    distances: DistanceMatrix | np.ndarray,
+    distances: DistanceMatrix | np.ndarray | None,
 ) -> list[float]:
     """Raw fitness of each ``pool[i]``, ``i`` in ``indices``, plus the weighted
     mean distance to fresh peers.
@@ -211,20 +225,17 @@ def augmented_fitness(
     other members of ``pool`` as peers, drawn from ``rng`` in ``indices``
     order (see :func:`draw_peer_sets`), so one call consumes the stream
     exactly as one call per index would; only the ``len(indices) * k`` peer
-    entries are read.  Its ``k`` distances are summed left to right, on
-    every Python version.  With no other member the raw fitness comes back
-    unchanged and nothing is drawn.
+    entries are read, and summed by :func:`sum_left`.  Shaping is inert with
+    no matrix (``distances=None``) or no other member: the raw fitness comes
+    back as a float and nothing is drawn.
     """
     k = min(config.sample_size, len(pool) - 1)
-    if k == 0:
+    if distances is None or k == 0:
         return [float(pool[i].raw_fitness) for i in indices]
     rows = np.asarray(indices, dtype=np.intp)
     peers = np.array(draw_peer_sets(rng, len(pool), k, indices), dtype=np.intp)
     weight = config.weight
-    scores = []
-    for i, row in zip(indices, distances[rows[:, None], peers.reshape(len(rows), k)].tolist()):
-        total = row[0]
-        for d in row[1:]:
-            total += d
-        scores.append(float(pool[i].raw_fitness + weight * (total / k)))
-    return scores
+    return [
+        float(pool[i].raw_fitness + weight * (sum_left(row) / k))
+        for i, row in zip(indices, distances[rows[:, None], peers.reshape(len(rows), k)].tolist())
+    ]

@@ -37,8 +37,9 @@ call whose peer plan consumes the stream exactly as one draw per member
 would, so the order above holds.  The distances are read from one member-by-member matrix:
 the population's for the tournaments and the pool's for truncation; each
 read computes only the peer entries it selects and draws nothing.  Shaping
-with the ``none`` kind or a zero weight is inert: shaped fitness is then
-the raw fitness and no peers are drawn.  The probe indices, in contrast,
+with the ``none`` kind or a zero weight is inert: there is no matrix, so
+:func:`~genediv.diversity.augmented_fitness` returns the raw fitness and
+draws no peers.  The probe indices, in contrast,
 are drawn for every metric kind -- including ``none`` -- so runs that
 differ only in an inert diversity setting replay the exact same evolution.
 """
@@ -57,6 +58,7 @@ from .diversity import (
     augmented_fitness,
     draw_distinct_indices,
     make_distance_fn,
+    sum_left,
 )
 from .genealogy import AncestryIndex, GenealogyGraph
 from .routing import RoutingProblem, SettingError
@@ -250,16 +252,10 @@ def step_generation(
     if n != config.population_size:
         raise ValueError(f"expected population of {config.population_size}, got {n}")
     div = config.diversity
-    distance_fn = None
-    if div.kind is not MetricKind.NONE and div.weight != 0.0:
-        distance_fn = make_distance_fn(div.kind, ancestry_index)
-
-    def shaped(members: list[Individual], indices, matrix) -> list[float]:
-        if distance_fn is None:
-            return [members[i].raw_fitness for i in indices]
-        return augmented_fitness(members, indices, div, rng, matrix)
-
-    population_distances = None if distance_fn is None else distance_fn(population)
+    # With the none kind or a zero weight there is no distance function, so
+    # each ``distance_fn and distance_fn(...)`` is None and shaping is inert.
+    distance_fn = make_distance_fn(div.kind, ancestry_index) if div.weight != 0.0 else None
+    population_distances = distance_fn and distance_fn(population)
 
     spawn = _spawner(graph, problem, rng, config.tau, generation, ancestry_index, registry)
     offspring: list[Individual] = []
@@ -279,7 +275,9 @@ def step_generation(
             partner = tournament_select(
                 others,
                 config.tournament_size,
-                lambda js: shaped(population, [j + (j >= i) for j in js], population_distances),
+                lambda js: augmented_fitness(
+                    population, [j + (j >= i) for j in js], div, rng, population_distances
+                ),
                 rng,
             )
             offspring.append(spawn(population[i], partner))
@@ -288,29 +286,8 @@ def step_generation(
         offspring.append(spawn())
 
     pool = population + offspring
-    scores = shaped(pool, range(len(pool)), None if distance_fn is None else distance_fn(pool))
+    scores = augmented_fitness(pool, range(len(pool)), div, rng, distance_fn and distance_fn(pool))
     return [ind for _, _, ind in sorted(_ranked(scores, pool))[: config.population_size]]
-
-
-def _probe_diversity(
-    population: list[Individual], distance_fn, rng: np.random.Generator
-) -> float:
-    """Mean pairwise distance over a small random probe of the population.
-
-    The probe indices are drawn unconditionally so that random-stream
-    consumption never depends on the metric kind.
-    """
-    k = min(PROBE_SIZE, len(population))
-    indices = draw_distinct_indices(rng, len(population), k)
-    if distance_fn is None or k < 2:
-        return 0.0
-    probe = np.asarray(indices)
-    distances = distance_fn(population)[probe[:, None], probe].tolist()
-    pairs = list(itertools.combinations(range(k), 2))
-    total = 0.0
-    for a, b in pairs:
-        total += distances[a][b]
-    return total / len(pairs)
 
 
 def _trace_row(
@@ -319,17 +296,26 @@ def _trace_row(
     distance_fn,
     rng: np.random.Generator,
 ) -> TraceRow:
+    """Raw-fitness statistics of ``population`` and its mean pairwise
+    distance over a small random probe (0.0 without a metric).
+
+    The probe indices are drawn for every metric kind, so the stream never
+    depends on it.
+    """
     raw = [ind.raw_fitness for ind in population]
-    total = 0.0
-    for value in raw:
-        total += value
     best = min(_ranked(raw, population))[2]
-    probe = _probe_diversity(population, distance_fn, rng)
+    k = min(PROBE_SIZE, len(population))
+    probe = np.asarray(draw_distinct_indices(rng, len(population), k))
+    diversity = 0.0
+    if distance_fn is not None and k > 1:
+        distances = distance_fn(population)[probe[:, None], probe].tolist()
+        pairs = list(itertools.combinations(range(k), 2))
+        diversity = sum_left(distances[a][b] for a, b in pairs) / len(pairs)
     return TraceRow(
         generation=generation,
-        mean_raw_fitness=total / len(population),
+        mean_raw_fitness=sum_left(raw) / len(population),
         best_raw_fitness=float(best.raw_fitness),
-        mean_probe_diversity=probe,
+        mean_probe_diversity=diversity,
         best_genome=best.genome.copy(),
     )
 

@@ -396,9 +396,12 @@ class AncestryIndex:
         self._nodes = np.resize(self._nodes, new_cols)
 
     def add(self, node: int, parents: tuple[int, ...]) -> None:
-        """Track a newly born node (ids must arrive in birth order)."""
+        """Track a newly born node of at most two parents (ids must arrive in
+        birth order)."""
         if node != self._count:
             raise ValueError(f"expected node id {self._count} next, got {node}")
+        if len(parents) > 2:
+            raise ValueError(f"a birth takes at most 2 parents, got {len(parents)}")
         parent_rows = []
         for p in parents:
             if p not in self._rows:

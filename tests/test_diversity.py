@@ -8,6 +8,7 @@ from genediv.diversity import (
     draw_distinct_indices,
     draw_peer_sets,
     make_distance_fn,
+    sum_left,
 )
 from genediv.engine import EngineConfig, Individual, initialize, step_generation
 from genediv.genealogy import AncestryIndex, GenealogyGraph
@@ -291,6 +292,29 @@ def test_augmented_fitness_sums_peers_left_to_right():
     distances = np.zeros((4, 4))
     distances[0, peers] = [1e16, 1.0, -1e16]
     assert augmented_fitness(population, [0], config, rng, distances) == [0.0]
+
+
+def test_sum_left_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; Python 3.12's compensated builtin sum
+    # gives 1.0 here.
+    assert sum_left([1e16, 1.0, -1e16]) == 0.0
+    assert sum_left(iter([1e16, 1.0, -1e16])) == 0.0
+    assert sum_left([]) == 0.0
+    assert sum_left([0.5, 0.25]) == 0.75
+
+
+def test_augmented_fitness_without_distances_is_raw():
+    population = make_population(np.random.default_rng(49), size=6)
+    population[3].raw_fitness = 3  # an int comes back as a float
+    rng = np.random.default_rng(50)
+    state = rng.bit_generator.state
+    for weight in (0.0, 1.0, 7.5):
+        for kind in MetricKind:
+            config = DiversityConfig(kind, weight=weight, sample_size=3)
+            shaped = augmented_fitness(population, [3, 0, 5, 3], config, rng, None)
+            assert shaped == [3.0, 0.0, 5.0, 3.0]
+            assert all(type(x) is float for x in shaped)
+    assert rng.bit_generator.state == state
 
 
 def test_diversity_config_validation():

@@ -188,6 +188,29 @@ def test_worker_fault_surfaces_as_itself(tmp_path, two_cpus):
     assert multiprocessing.active_children() == []
 
 
+BAD_SETTINGS = [
+    (MetricKind.DOMAIN, float("nan")),
+    (MetricKind.DOMAIN, -1.0),
+    ("domain", 1.0),
+]
+
+
+@pytest.mark.parametrize("kind, weight", BAD_SETTINGS)
+def test_invalid_setting_writes_and_starts_nothing(tmp_path, two_cpus, kind, weight):
+    for jobs in (1, 2):
+        out = tmp_path / f"run{jobs}"
+        with pytest.raises(ValueError):
+            run_experiment(tiny_spec(out, variants=[("v", kind, weight)]), jobs=jobs)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+        out = tmp_path / f"grid{jobs}"
+        with pytest.raises(ValueError):
+            grid_search(grid_spec(out, [weight], kind=kind), jobs=jobs)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
 # ----------------------------------------------------------------------
 # grid search
 # ----------------------------------------------------------------------

@@ -355,6 +355,17 @@ def test_ancestry_index_requires_birth_order():
         index.add(2, ())
 
 
+def test_ancestry_index_rejects_a_third_parent():
+    index = AncestryIndex()
+    for node in range(3):
+        index.add(node, ())
+    with pytest.raises(ValueError) as err:
+        index.add(3, (0, 1, 2))
+    assert err.value.args == ("a birth takes at most 2 parents, got 3",)
+    index.add(3, (0, 1))
+    assert index.gdist(3, 1) == 0.0
+
+
 def test_ancestry_index_grows_past_initial_allocation():
     # Nothing is retained, so every node stays tracked and every node is a
     # column: far more rows and columns than a fresh index allocates.

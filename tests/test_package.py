@@ -1,5 +1,8 @@
 """The package's public surface, pinned so that growth or a drop is a visible diff."""
 
+import ast
+from pathlib import Path
+
 import genediv
 
 PUBLIC = [
@@ -41,3 +44,22 @@ def test_public_surface_is_pinned():
         assert getattr(genediv, name) is not None
     for name in BENCHMARK_NAMES:
         assert hasattr(genediv, name), name
+
+
+def test_no_compensated_sums_in_source():
+    """Output sums go through ``diversity.sum_left``: the builtin ``sum``
+    compensates rounding from Python 3.12 on, and ``math.fsum`` always."""
+    found = []
+    for path in sorted(Path(genediv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in ("sum", "fsum")) or (
+                isinstance(func, ast.Attribute)
+                and func.attr == "fsum"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "math"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
