@@ -66,8 +66,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     kind = parse_metric_kind("metric", args.metric)
     if kind is MetricKind.NONE:
         raise ConfigError("metric", "grid search needs a diversity metric, not 'none'")
-    if cfg["engine.generations"] < 1:
-        raise ConfigError("engine.generations", "grid search needs at least one generation")
     spec = GridSpec(
         kind=kind,
         lambda_values=list(lambda_grid(cfg, kind)),

@@ -11,6 +11,9 @@ underscores and upper-casing, e.g. ``engine.population_size`` becomes
 key is rejected, like an unknown key in the file.
 
 Every error raised here is a :class:`ConfigError` naming the offending key.
+A key whose value a built object checks (the engine, diversity and problem
+settings) is parsed for syntax only here; its range is checked once, by the
+object, when :func:`build_engine_config` or :func:`build_problem` builds it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 
 from .diversity import DiversityConfig, MetricKind
 from .engine import EngineConfig
-from .routing import STEP_NORMS, Arena, Rect, RoutingProblem, SettingError
+from .routing import Arena, Rect, RoutingProblem, SettingError
 
 ENV_PREFIX = "GENEDIV_"
 
@@ -70,8 +73,6 @@ def _bounded(parse, within, expected: str):
 
 _parse_positive_int = _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1")
 _parse_nonneg_int = _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0")
-_parse_probability = _bounded(_parse_float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
-_parse_positive_float = _bounded(_parse_float, lambda v: v > 0.0, "a number > 0")
 _parse_nonneg_float = _bounded(_parse_float, lambda v: v >= 0.0, "a number >= 0")
 
 
@@ -88,12 +89,6 @@ def _parse_rect(key: str, text: str) -> tuple[float, ...]:
 
 def _parse_point(key: str, text: str) -> tuple[float, ...]:
     return _parse_floats(key, text, 2)
-
-
-def _parse_step_norm(key: str, text: str) -> str:
-    if text not in STEP_NORMS:
-        raise ConfigError(key, f"expected one of {STEP_NORMS}, got {text!r}")
-    return text
 
 
 def parse_metric_kind(key: str, text: str) -> MetricKind:
@@ -131,14 +126,14 @@ _SCHEMA: dict[str, tuple] = {
     "run.variants": (_parse_variants, "none domain genealogical_tree trash_bits"),
     "run.base_seed": (_parse_nonneg_int, "1000"),
     "run.num_seeds": (_parse_positive_int, "10"),
-    "engine.population_size": (_parse_positive_int, "20"),
-    "engine.generations": (_parse_nonneg_int, "1000"),
-    "engine.mutation_prob": (_parse_probability, "0.2"),
-    "engine.crossover_prob": (_parse_probability, "0.3"),
-    "engine.tournament_size": (_parse_positive_int, "2"),
-    "engine.immigrants_per_gen": (_parse_nonneg_int, "2"),
-    "engine.tau": (_parse_positive_int, "32"),
-    "diversity.sample_size": (_parse_positive_int, "5"),
+    "engine.population_size": (_parse_int, "20"),
+    "engine.generations": (_parse_int, "1000"),
+    "engine.mutation_prob": (_parse_float, "0.2"),
+    "engine.crossover_prob": (_parse_float, "0.3"),
+    "engine.tournament_size": (_parse_int, "2"),
+    "engine.immigrants_per_gen": (_parse_int, "2"),
+    "engine.tau": (_parse_int, "32"),
+    "diversity.sample_size": (_parse_int, "5"),
     "lambda.none": (_parse_nonneg_float, "0.0"),
     "lambda.domain": (_parse_nonneg_float, "1.0"),
     "lambda.genealogical_tree": (_parse_nonneg_float, "4.0"),
@@ -148,8 +143,8 @@ _SCHEMA: dict[str, tuple] = {
     "arena.start": (_parse_point, "0.1 0.5"),
     "arena.obstacle": (_parse_rect, "0.4 0.0 0.6 0.8"),
     "arena.goal": (_parse_rect, "0.75 0.3 0.95 0.7"),
-    "mutation.sigma": (_parse_positive_float, "0.1"),
-    "step_norm": (_parse_step_norm, "l1"),
+    "mutation.sigma": (_parse_float, "0.1"),
+    "step_norm": (lambda key, text: text, "l1"),
 }
 
 def env_name(key: str) -> str:
@@ -200,7 +195,8 @@ def load_config(
 
 
 def build_problem(cfg: dict[str, object]) -> RoutingProblem:
-    """Construct the routing problem described by the ``arena.*`` keys."""
+    """Construct the routing problem described by the ``arena.*``,
+    ``mutation.sigma`` and ``step_norm`` keys."""
     rects = {}
     for name in ("bounds", "goal", "obstacle"):
         try:
@@ -209,9 +205,10 @@ def build_problem(cfg: dict[str, object]) -> RoutingProblem:
             raise ConfigError(f"arena.{name}", str(exc)) from None
     try:
         arena = Arena(start=tuple(cfg["arena.start"]), **rects)
+        return RoutingProblem(arena=arena, sigma=cfg["mutation.sigma"], step_norm=cfg["step_norm"])
     except SettingError as exc:
-        raise ConfigError(f"arena.{exc.field}", str(exc)) from None
-    return RoutingProblem(arena=arena, sigma=cfg["mutation.sigma"], step_norm=cfg["step_norm"])
+        keys = {"sigma": "mutation.sigma", "step_norm": "step_norm"}
+        raise ConfigError(keys.get(exc.field, f"arena.{exc.field}"), str(exc)) from None
 
 
 def variant_weight(cfg: dict[str, object], kind: MetricKind) -> float:
@@ -224,25 +221,23 @@ def build_engine_config(
     cfg: dict[str, object], kind: MetricKind = MetricKind.NONE
 ) -> EngineConfig:
     """Assemble an :class:`EngineConfig` for one variant, weighted by ``lambda.<kind>``."""
-    engine = EngineConfig(
-        population_size=cfg["engine.population_size"],
-        generations=cfg["engine.generations"],
-        mutation_prob=cfg["engine.mutation_prob"],
-        crossover_prob=cfg["engine.crossover_prob"],
-        tournament_size=cfg["engine.tournament_size"],
-        immigrants_per_gen=cfg["engine.immigrants_per_gen"],
-        tau=cfg["engine.tau"],
-        diversity=DiversityConfig(
-            kind=kind, weight=variant_weight(cfg, kind), sample_size=cfg["diversity.sample_size"]
-        ),
-    )
     try:
-        engine.validate()
+        return EngineConfig(
+            population_size=cfg["engine.population_size"],
+            generations=cfg["engine.generations"],
+            mutation_prob=cfg["engine.mutation_prob"],
+            crossover_prob=cfg["engine.crossover_prob"],
+            tournament_size=cfg["engine.tournament_size"],
+            immigrants_per_gen=cfg["engine.immigrants_per_gen"],
+            tau=cfg["engine.tau"],
+            diversity=DiversityConfig(
+                kind=kind, weight=variant_weight(cfg, kind), sample_size=cfg["diversity.sample_size"]
+            ),
+        )
     except SettingError as exc:
         # Every other field is set by the engine key of the same name.
         diversity_keys = {"weight": f"lambda.{kind.value}", "sample_size": "diversity.sample_size"}
         raise ConfigError(diversity_keys.get(exc.field, f"engine.{exc.field}"), str(exc)) from None
-    return engine
 
 
 def seeds_from(cfg: dict[str, object]) -> list[int]:

@@ -69,13 +69,15 @@ class DiversityConfig:
 
     ``weight`` multiplies the mean peer distance added to raw fitness and
     ``sample_size`` is how many distinct peers are drawn per evaluation.
+    A field out of range raises a :class:`SettingError` naming it when the
+    config is built.
     """
 
     kind: MetricKind = MetricKind.NONE
     weight: float = 0.0
     sample_size: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.kind, MetricKind):
             raise SettingError("kind", f"unknown diversity metric kind: {self.kind!r}")
         if not np.isfinite(self.weight) or self.weight < 0.0:

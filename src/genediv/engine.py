@@ -77,9 +77,13 @@ class Individual:
     raw_fitness: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
-    """Knobs of the generational loop (defaults match the benchmark setup)."""
+    """Knobs of the generational loop (defaults match the benchmark setup).
+
+    Checked when built: a field out of range raises a :class:`SettingError`
+    naming it.  Frozen; vary it with :func:`dataclasses.replace`.
+    """
 
     population_size: int = 20
     generations: int = 1000
@@ -90,8 +94,7 @@ class EngineConfig:
     tau: int = 32
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
-    def validate(self) -> None:
-        """Raise a :class:`SettingError` naming the first field out of range."""
+    def __post_init__(self) -> None:
         if self.population_size < 1:
             raise SettingError(
                 "population_size", f"population_size must be >= 1, got {self.population_size}"
@@ -119,7 +122,6 @@ class EngineConfig:
             )
         if self.tau < 1:
             raise SettingError("tau", f"tau must be >= 1, got {self.tau}")
-        self.diversity.validate()
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +192,6 @@ def initialize(
     problem: RoutingProblem | None = None,
 ) -> tuple[list[Individual], GenealogyGraph]:
     """Create the starting population (all genesis nodes) and a fresh graph."""
-    config.validate()
     if problem is None:
         problem = RoutingProblem()
     graph = GenealogyGraph()
@@ -332,7 +333,6 @@ def run_evolution(
     ``seed`` seeds the run's single random stream.  With ``keep_all`` every
     individual ever created is retained in ``RunResult.individuals``.
     """
-    config.validate()
     if problem is None:
         problem = RoutingProblem()
     rng = np.random.default_rng(seed)

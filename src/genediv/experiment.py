@@ -154,8 +154,6 @@ def _run_batch(
     is invalid."""
     spec.validate()
     engines = [_engine_for(spec.engine, kind, weight) for kind, weight in settings]
-    for engine in engines:
-        engine.validate()
     tasks = [(engine, spec.problem, seed) for engine in engines for seed in spec.seeds]
     workers = _worker_count(jobs, len(tasks), _usable_cpus())
     out_dir = Path(spec.output_path)
@@ -225,7 +223,7 @@ class GridSpec:
         if not self.seeds:
             raise ValueError("grid search needs at least one seed")
         if self.engine.generations < 1:
-            raise ValueError("grid search needs at least one generation")
+            raise ConfigError("engine.generations", "grid search needs at least one generation")
 
 
 @dataclass

@@ -300,10 +300,13 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
             if not named:
                 raise ValueError(f"line {lineno}: unknown op kind {name!r}")
             if node == n:
-                raise ValueError(f"{name} takes {named[0]} parent(s), got {count}")
+                raise ValueError(f"line {lineno}: {name} takes {named[0]} parent(s), got {count}")
         if node != n:
             raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
-        _check_parents(parents, n)
+        try:
+            _check_parents(parents, n)
+        except KeyError as exc:
+            raise KeyError(f"line {lineno}: {exc.args[0]}") from None
         parents_of.append(parents)
         generations.append(generation)
     graph = GenealogyGraph()

@@ -202,27 +202,13 @@ def random_genome(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-STEP_BUDGET, STEP_BUDGET, size=(GENOME_LENGTH, 2))
 
 
-def mutate_genome(genome: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Copy ``genome`` and add Gaussian noise to one uniformly chosen action."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    out = genome.copy()
-    idx = int(rng.integers(len(out)))
-    out[idx] += rng.normal(0.0, sigma, size=2)
-    return out
-
-
-def crossover_genome(g1: np.ndarray, g2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform crossover: each action comes from either parent with prob. 1/2."""
-    if g1.shape != g2.shape:
-        raise ValueError(f"genome shape mismatch: {g1.shape} != {g2.shape}")
-    take_first = rng.random(len(g1)) < 0.5
-    return np.where(take_first[:, None], g1, g2)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RoutingProblem:
-    """Bundles the arena with operator parameters for the evolution engine."""
+    """Bundles the arena with operator parameters for the evolution engine.
+
+    A ``sigma`` or ``step_norm`` out of range raises a :class:`SettingError`
+    naming it.
+    """
 
     arena: Arena = DEFAULT_ARENA
     sigma: float = DEFAULT_SIGMA
@@ -230,20 +216,28 @@ class RoutingProblem:
 
     def __post_init__(self) -> None:
         if self.step_norm not in STEP_NORMS:
-            raise ValueError(
-                f"unknown step norm {self.step_norm!r} (expected one of {STEP_NORMS})"
+            raise SettingError(
+                "step_norm", f"unknown step norm {self.step_norm!r} (expected one of {STEP_NORMS})"
             )
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise SettingError("sigma", f"sigma must be finite and > 0, got {self.sigma}")
 
     def random_genome(self, rng: np.random.Generator) -> np.ndarray:
         return random_genome(rng)
 
     def mutate(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return mutate_genome(genome, self.sigma, rng)
+        """Copy ``genome`` and add Gaussian noise to one uniformly chosen action."""
+        out = genome.copy()
+        idx = int(rng.integers(len(out)))
+        out[idx] += rng.normal(0.0, self.sigma, size=2)
+        return out
 
     def crossover(self, g1: np.ndarray, g2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return crossover_genome(g1, g2, rng)
+        """Uniform crossover: each action comes from either parent with prob. 1/2."""
+        if g1.shape != g2.shape:
+            raise ValueError(f"genome shape mismatch: {g1.shape} != {g2.shape}")
+        take_first = rng.random(len(g1)) < 0.5
+        return np.where(take_first[:, None], g1, g2)
 
     def evaluate(self, genome: np.ndarray) -> int:
         """``simulate(genome).raw_fitness``, without building the trajectory."""

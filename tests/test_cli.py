@@ -59,6 +59,36 @@ def test_jobs_below_one_names_key(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# One out-of-range value per key whose range the built engine, diversity
+# config or problem checks.
+OWNED_KEY_VALUES = [
+    ("engine.population_size", "0"),
+    ("engine.generations", "-1"),
+    ("engine.mutation_prob", "1.5"),
+    ("engine.crossover_prob", "-0.1"),
+    ("engine.tournament_size", "0"),
+    ("engine.immigrants_per_gen", "-1"),
+    ("engine.tau", "0"),
+    ("diversity.sample_size", "0"),
+    ("mutation.sigma", "0"),
+    ("step_norm", "euclid"),
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["grid", "--metric", "trash_bits"], ["dump-genealogy", "--seed", "1"]],
+    ids=["run", "grid", "dump-genealogy"],
+)
+@pytest.mark.parametrize("key, value", OWNED_KEY_VALUES)
+def test_owned_key_out_of_range_names_key(tmp_path, capsys, command, key, value):
+    cfg = write_cfg(tmp_path, TINY_CFG + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("engine.size = 5\n")

@@ -126,9 +126,14 @@ def test_missing_file_rejected(tmp_path):
     ],
 )
 def test_bad_values_rejected(tmp_path, line):
+    # load_config checks syntax and the keys no built object owns; building
+    # the problem and the engine checks the rest.
     path = write_cfg(tmp_path, line + "\n")
-    with pytest.raises(ConfigError):
-        load_config(path, environ={})
+    with pytest.raises(ConfigError) as err:
+        cfg = load_config(path, environ={})
+        build_problem(cfg)
+        build_engine_config(cfg)
+    assert err.value.key == line.partition("=")[0].strip()
 
 
 def test_build_problem_uses_arena_keys(tmp_path):
@@ -206,7 +211,7 @@ def test_build_engine_config_cross_field_check(tmp_path):
     ],
 )
 def test_build_engine_config_names_the_key(key, value, kind):
-    # Values that bypass the file parser's own checks reach EngineConfig.validate.
+    # Values set past the parser are checked when EngineConfig is built.
     cfg = load_config(None, environ={})
     cfg[key] = value
     with pytest.raises(ConfigError) as err:

@@ -318,10 +318,10 @@ def test_augmented_fitness_without_distances_is_raw():
 
 
 def test_diversity_config_validation():
-    DiversityConfig(MetricKind.DOMAIN, 0.5, 5).validate()
+    DiversityConfig(MetricKind.DOMAIN, 0.5, 5)
     with pytest.raises(ValueError):
-        DiversityConfig(MetricKind.DOMAIN, -1.0).validate()
+        DiversityConfig(MetricKind.DOMAIN, -1.0)
     with pytest.raises(ValueError):
-        DiversityConfig(MetricKind.DOMAIN, 1.0, 0).validate()
+        DiversityConfig(MetricKind.DOMAIN, 1.0, 0)
     with pytest.raises(ValueError):
-        DiversityConfig("domain", 1.0).validate()
+        DiversityConfig("domain", 1.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from genediv.engine import (
     tournament_select,
 )
 from genediv.genealogy import AncestryIndex, OpKind
-from genediv.routing import RoutingProblem
+from genediv.routing import RoutingProblem, SettingError
 
 PROBLEM = RoutingProblem()
 
@@ -54,19 +56,32 @@ def test_initialize_fresh_individuals_are_maximally_distant():
 
 
 def test_config_validation():
-    EngineConfig().validate()
+    EngineConfig()
     with pytest.raises(ValueError):
-        EngineConfig(population_size=0).validate()
+        EngineConfig(population_size=0)
     with pytest.raises(ValueError):
-        EngineConfig(mutation_prob=1.5).validate()
+        EngineConfig(mutation_prob=1.5)
     with pytest.raises(ValueError):
-        EngineConfig(crossover_prob=-0.1).validate()
+        EngineConfig(crossover_prob=-0.1)
     with pytest.raises(ValueError):
-        EngineConfig(tournament_size=0).validate()
+        EngineConfig(tournament_size=0)
     with pytest.raises(ValueError):
-        EngineConfig(population_size=2, immigrants_per_gen=2).validate()
+        EngineConfig(population_size=2, immigrants_per_gen=2)
     with pytest.raises(ValueError):
-        EngineConfig(tau=0).validate()
+        EngineConfig(tau=0)
+
+
+def test_configs_check_themselves_when_built():
+    # A copy made by replace is checked like a new config.
+    with pytest.raises(SettingError) as err:
+        dataclasses.replace(EngineConfig(), tau=0)
+    assert err.value.field == "tau"
+    # So no checked field can be set past its check.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        EngineConfig().tau = 0
+    with pytest.raises(SettingError) as err:
+        DiversityConfig("domain", 1.0)
+    assert err.value.field == "kind"
 
 
 # ----------------------------------------------------------------------

@@ -306,11 +306,11 @@ def test_read_log_rejects_bad_lines(tmp_path):
          "line 1: non-integer field (invalid literal for int() with base 10: 'x')"),
         ("0,0,genesis\n1,1,mutation, 0 x \n", ValueError,
          "line 2: non-integer field (invalid literal for int() with base 10: '0 x')"),
-        ("0,0,genesis\n1,1,mutation,0,0\n", ValueError, "mutation takes 1 parent(s), got 2"),
-        ("0,0,genesis\n1,1,genesis,0\n", ValueError, "genesis takes 0 parent(s), got 1"),
+        ("0,0,genesis\n1,1,mutation,0,0\n", ValueError, "line 2: mutation takes 1 parent(s), got 2"),
+        ("0,0,genesis\n1,1,genesis,0\n", ValueError, "line 2: genesis takes 0 parent(s), got 1"),
         ("0,0,genesis\n1,0,genesis\n2,0,genesis\n3,1,recombination,0,1,2\n", ValueError,
-         "recombination takes 2 parent(s), got 3"),
-        ("0,0,genesis\n1,1,recombination,0,1\n", KeyError, "unknown parent node id 1"),
+         "line 4: recombination takes 2 parent(s), got 3"),
+        ("0,0,genesis\n1,1,recombination,0,1\n", KeyError, "line 2: unknown parent node id 1"),
     ],
 )
 def test_read_log_error_names_line_and_field(tmp_path, text, error, message):

@@ -7,10 +7,9 @@ from genediv.routing import (
     Arena,
     Rect,
     RoutingProblem,
+    SettingError,
     clamp_action,
-    crossover_genome,
     domain_distance,
-    mutate_genome,
     random_genome,
     segment_crosses_interior,
     simulate,
@@ -178,13 +177,14 @@ def test_random_genome_shape_and_bounds():
 
 def test_mutate_genome_perturbs_exactly_one_action():
     rng = np.random.default_rng(23)
+    problem = RoutingProblem(sigma=0.1)
     for _ in range(100):
         g = random_genome(rng)
-        h = mutate_genome(g, 0.1, rng)
+        h = problem.mutate(g, rng)
         differing_rows = np.any(g != h, axis=1)
         assert int(differing_rows.sum()) == 1
     with pytest.raises(ValueError):
-        mutate_genome(g, 0.0, rng)
+        RoutingProblem(sigma=0.0)
 
 
 def test_crossover_genome_takes_whole_actions():
@@ -192,11 +192,11 @@ def test_crossover_genome_takes_whole_actions():
     for _ in range(100):
         a = random_genome(rng)
         b = random_genome(rng)
-        child = crossover_genome(a, b, rng)
+        child = RoutingProblem().crossover(a, b, rng)
         for row, ra, rb in zip(child, a, b):
             assert np.array_equal(row, ra) or np.array_equal(row, rb)
     with pytest.raises(ValueError):
-        crossover_genome(a, b[:5], rng)
+        RoutingProblem().crossover(a, b[:5], rng)
 
 
 def test_domain_distance():
@@ -220,6 +220,14 @@ def test_routing_problem_validation_and_dispatch():
         RoutingProblem(step_norm="manhattan")
     with pytest.raises(ValueError):
         RoutingProblem(sigma=-1.0)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
+def test_routing_problem_rejects_bad_sigma(sigma):
+    # A non-finite sigma would otherwise surface mid-run as a bad action.
+    with pytest.raises(SettingError) as err:
+        RoutingProblem(sigma=sigma)
+    assert err.value.field == "sigma"
 
 
 def _grazing_genomes(rng, count):
