@@ -7,8 +7,8 @@ Subcommands::
     genediv dump-genealogy --config cfg --seed n --out file [--variant kind]
 
 Exit codes: 0 on success, 1 for configuration errors (the message names the
-offending key), 2 for I/O errors.  Any other exception is a fault and
-propagates.
+offending key), 2 for I/O errors or command-line usage errors (argparse's
+own exit).  Any other exception is a fault and propagates.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .genealogy import AncestryIndex
-from .routing import SettingError
+from .routing import SettingError, require_integer
 
 
 def sum_left(values: Iterable[float]) -> float:
@@ -68,9 +68,9 @@ class DiversityConfig:
     """Fitness-shaping parameters.
 
     ``weight`` multiplies the mean peer distance added to raw fitness and
-    ``sample_size`` is how many distinct peers are drawn per evaluation.
-    A field out of range raises a :class:`SettingError` naming it when the
-    config is built.
+    ``sample_size`` is how many distinct peers are drawn per evaluation (an
+    integer).  A field out of range raises a :class:`SettingError` naming it
+    when the config is built.
     """
 
     kind: MetricKind = MetricKind.NONE
@@ -84,6 +84,7 @@ class DiversityConfig:
             raise SettingError(
                 "weight", f"diversity weight must be finite and >= 0, got {self.weight}"
             )
+        require_integer("sample_size", self.sample_size)
         if self.sample_size < 1:
             raise SettingError(
                 "sample_size", f"diversity sample size must be >= 1, got {self.sample_size}"

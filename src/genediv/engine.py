@@ -61,7 +61,7 @@ from .diversity import (
     sum_left,
 )
 from .genealogy import AncestryIndex, GenealogyGraph
-from .routing import RoutingProblem, SettingError
+from .routing import RoutingProblem, SettingError, require_integer
 from .trash_genes import flip_one_bit, random_trash, uniform_cross
 
 PROBE_SIZE = 5
@@ -81,8 +81,9 @@ class Individual:
 class EngineConfig:
     """Knobs of the generational loop (defaults match the benchmark setup).
 
-    Checked when built: a field out of range raises a :class:`SettingError`
-    naming it.  Frozen; vary it with :func:`dataclasses.replace`.
+    Checked when built: a count that is not an integer, or any field out of
+    range, raises a :class:`SettingError` naming it.  Frozen; vary it with
+    :func:`dataclasses.replace`.
     """
 
     population_size: int = 20
@@ -95,6 +96,8 @@ class EngineConfig:
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "generations", "tournament_size", "immigrants_per_gen", "tau"):
+            require_integer(name, getattr(self, name))
         if self.population_size < 1:
             raise SettingError(
                 "population_size", f"population_size must be >= 1, got {self.population_size}"

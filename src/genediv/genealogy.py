@@ -84,7 +84,9 @@ class GenealogyGraph:
         if len(parents) > 2:
             raise ValueError(f"a birth takes at most 2 parents, got {len(parents)}")
         n = len(self._parents)
-        _check_parents(parents, n)
+        for p in parents:
+            if not 0 <= p < n:
+                raise KeyError(f"unknown parent node id {p}")
         self._parents.append(parents)
         self._birth_gen.append(int(generation))
         return n
@@ -264,22 +266,14 @@ def write_genealogy_log(graph: GenealogyGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _check_parents(parents: tuple[int, ...], n: int) -> None:
-    """Reject parents that are not among the first ``n`` nodes."""
-    for p in parents:
-        if not 0 <= p < n:
-            raise KeyError(f"unknown parent node id {p}")
-
-
 def read_genealogy_log(path: str | Path) -> GenealogyGraph:
     """Rebuild a graph from the format produced by :func:`write_genealogy_log`.
 
-    Each line is parsed and checked once and appended directly: its
-    ``op_kind`` must be the one its parent count gives, and its parents must
-    pass the checks of :meth:`GenealogyGraph.record_birth`.
+    Each line is parsed, its ``op_kind`` checked against its parent count and
+    its id against its position, then recorded with
+    :meth:`GenealogyGraph.record_birth`, which checks its parents.
     """
-    parents_of: list[tuple[int, ...]] = []
-    generations: list[int] = []
+    graph = GenealogyGraph()
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -293,7 +287,7 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
             parents = tuple(map(int, fields[3:]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer field ({exc})") from None
-        name, count, n = fields[2], len(parents), len(parents_of)
+        name, count, n = fields[2], len(parents), len(graph)
         if count > 2 or name != _KINDS[count].value:
             # Checked in order: the name, then the id, then the parent count.
             named = [arity for arity, kind in enumerate(_KINDS) if kind.value == name]
@@ -304,13 +298,9 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
         if node != n:
             raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
         try:
-            _check_parents(parents, n)
+            graph.record_birth(parents, generation)
         except KeyError as exc:
             raise KeyError(f"line {lineno}: {exc.args[0]}") from None
-        parents_of.append(parents)
-        generations.append(generation)
-    graph = GenealogyGraph()
-    graph._parents, graph._birth_gen = parents_of, generations
     return graph
 
 

@@ -19,6 +19,7 @@ corresponding actions).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ class SettingError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(message)
+
+
+def require_integer(field: str, value) -> None:
+    """Raise a :class:`SettingError` for ``field`` unless ``value`` is an
+    integer (numpy integers included)."""
+    if not isinstance(value, numbers.Integral):
+        raise SettingError(field, f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,26 +99,6 @@ class Arena:
             raise SettingError("start", f"start {self.start} lies inside the obstacle")
 
 
-def clamp_action(dx: float, dy: float, step_norm: str = "l1") -> tuple[float, float]:
-    """Scale a displacement down so its norm does not exceed :data:`STEP_BUDGET`.
-
-    ``step_norm`` selects the norm: ``"l1"`` bounds ``|dx| + |dy|`` and
-    ``"linf"`` bounds ``max(|dx|, |dy|)``.  Direction is preserved.
-    """
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        raise ValueError(f"action components must be finite, got ({dx}, {dy})")
-    if step_norm == "l1":
-        size = abs(dx) + abs(dy)
-    elif step_norm == "linf":
-        size = max(abs(dx), abs(dy))
-    else:
-        raise ValueError(f"unknown step norm {step_norm!r} (expected one of {STEP_NORMS})")
-    if size <= STEP_BUDGET:
-        return dx, dy
-    scale = STEP_BUDGET / size
-    return dx * scale, dy * scale
-
-
 def segment_crosses_interior(
     p: tuple[float, float], q: tuple[float, float], rect: Rect
 ) -> bool:
@@ -162,24 +150,34 @@ def simulate(genome: np.ndarray, arena: Arena = DEFAULT_ARENA, step_norm: str = 
     the move is rejected when the destination leaves the (closed) arena
     bounds or when the straight line to it passes through the obstacle's
     open interior.  One fitness point accrues per step that ends inside the
-    (closed) goal region.
+    (closed) goal region.  An unknown ``step_norm`` raises the
+    :class:`SettingError` of :class:`RoutingProblem`.
     """
     trajectory = [arena.start]
-    fitness = _walk(genome, arena, step_norm, trajectory)
+    fitness = _walk(RoutingProblem(arena, step_norm=step_norm), genome, trajectory)
     return SimulationResult(np.array(trajectory, dtype=float), fitness)
 
 
-def _walk(genome: np.ndarray, arena: Arena, step_norm: str, trajectory: list | None) -> int:
-    """The fitness of ``genome`` (rows of ``dx, dy``); appends each step's
-    position to ``trajectory`` unless it is ``None``."""
+def _walk(problem: RoutingProblem, genome: np.ndarray, trajectory: list | None) -> int:
+    """The fitness of ``genome`` (rows of ``dx, dy``) in ``problem``'s arena;
+    appends each step's position to ``trajectory`` unless it is ``None``.
+    An action whose size in the problem's norm (``|dx| + |dy|`` for ``"l1"``,
+    ``max(|dx|, |dy|)`` for ``"linf"``) exceeds :data:`STEP_BUDGET` is first
+    scaled down to it, direction kept."""
     genome = np.asarray(genome, dtype=float)
     if genome.ndim != 2 or genome.shape[1] != 2:
         raise ValueError(f"genome must have shape (n, 2), got {genome.shape}")
+    arena, l1 = problem.arena, problem.step_norm == "l1"
     x, y = arena.start
     bounds, obstacle, goal = arena.bounds, arena.obstacle, arena.goal
     fitness = 0
     for dx, dy in genome.tolist():
-        dx, dy = clamp_action(dx, dy, step_norm)
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError(f"action components must be finite, got ({dx}, {dy})")
+        size = abs(dx) + abs(dy) if l1 else max(abs(dx), abs(dy))
+        if size > STEP_BUDGET:
+            scale = STEP_BUDGET / size
+            dx, dy = dx * scale, dy * scale
         nx, ny = x + dx, y + dy
         if bounds.contains(nx, ny) and not segment_crosses_interior((x, y), (nx, ny), obstacle):
             x, y = nx, ny
@@ -241,4 +239,4 @@ class RoutingProblem:
 
     def evaluate(self, genome: np.ndarray) -> int:
         """``simulate(genome).raw_fitness``, without building the trajectory."""
-        return _walk(genome, self.arena, self.step_norm, None)
+        return _walk(self, genome, None)

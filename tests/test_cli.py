@@ -117,6 +117,19 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["run"], ["run", "--out", "o", "--jobs", "two"]], ids=["no-out", "jobs-not-int"]
+)
+def test_usage_error_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: genediv run" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_CFG + "grid.lambdas = 0.5 1.0\n")
     out = tmp_path / "out"

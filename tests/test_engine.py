@@ -71,6 +71,33 @@ def test_config_validation():
         EngineConfig(tau=0)
 
 
+INTEGER_FIELDS = ["population_size", "generations", "tournament_size", "immigrants_per_gen", "tau"]
+
+
+@pytest.mark.parametrize("value", [1.5, 20.0])
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_counts_must_be_integers(name, value):
+    # A fractional tournament size used to hang the run; the others failed
+    # mid-run inside numpy or range.
+    with pytest.raises(SettingError) as err:
+        EngineConfig(**{name: value})
+    assert err.value.field == name
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_numpy_integer_counts_accepted():
+    counts = dict.fromkeys(INTEGER_FIELDS, np.int64(3)) | {"population_size": np.int64(4)}
+    config = EngineConfig(**counts)
+    assert config.tournament_size == 3
+    assert DiversityConfig(sample_size=np.int64(3)).sample_size == 3
+
+
+def test_sample_size_must_be_an_integer():
+    with pytest.raises(SettingError) as err:
+        DiversityConfig(sample_size=2.5)
+    assert err.value.field == "sample_size"
+
+
 def test_configs_check_themselves_when_built():
     # A copy made by replace is checked like a new config.
     with pytest.raises(SettingError) as err:

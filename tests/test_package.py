@@ -63,3 +63,19 @@ def test_no_compensated_sums_in_source():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_private_access_across_objects():
+    """A ``_name`` member is reached only through ``self`` or ``cls``: what
+    one object needs of another goes through that object's public methods."""
+    found = []
+    for path in sorted(Path(genediv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

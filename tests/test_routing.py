@@ -8,7 +8,6 @@ from genediv.routing import (
     Rect,
     RoutingProblem,
     SettingError,
-    clamp_action,
     domain_distance,
     random_genome,
     segment_crosses_interior,
@@ -52,6 +51,23 @@ def test_arena_validation():
         Arena(bounds, (0.5, 0.5), goal, obstacle)  # start inside the obstacle
 
 
+# Open space around the origin: no step from there of size <= 0.5 leaves the
+# bounds or touches the obstacle, so the first step is the clamped action.
+OPEN_ARENA = Arena(
+    bounds=Rect(-1.0, -1.0, 1.0, 1.0),
+    start=(0.0, 0.0),
+    goal=Rect(0.9, 0.9, 1.0, 1.0),
+    obstacle=Rect(0.9, -1.0, 1.0, -0.9),
+)
+
+
+def clamp_action(dx, dy, step_norm="l1"):
+    """The first step of the one-action genome ``(dx, dy)``, taken by
+    :func:`simulate` from the origin of :data:`OPEN_ARENA`."""
+    trajectory = simulate(np.array([[dx, dy]]), OPEN_ARENA, step_norm).trajectory
+    return tuple(trajectory[1].tolist())
+
+
 def test_clamp_action_l1():
     assert clamp_action(0.3, 0.1) == (0.3, 0.1)
     dx, dy = clamp_action(0.6, 0.2)
@@ -74,6 +90,13 @@ def test_clamp_action_rejects_bad_input():
         clamp_action(float("nan"), 0.0)
     with pytest.raises(ValueError):
         clamp_action(0.1, 0.1, "l7")
+
+
+def test_simulate_rejects_unknown_norm_as_setting():
+    with pytest.raises(SettingError) as err:
+        simulate(zeros(), DEFAULT_ARENA, "l7")
+    assert err.value.field == "step_norm"
+    assert str(err.value) == "unknown step norm 'l7' (expected one of ('l1', 'linf'))"
 
 
 def test_segment_crossing_detection():
