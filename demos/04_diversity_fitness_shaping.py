@@ -52,7 +52,7 @@ print("final population under the shaped run, one sampled evaluation each:")
 print(f"{'node':>6s} {'raw':>4s} {'shaped':>7s}   (shaped - raw = diversity bonus)")
 for i in sorted(range(len(population)), key=lambda i: -population[i].raw_fitness)[:8]:
     ind = population[i]
-    s = augmented_fitness(population, [i], config, rng, distances)[0]
+    s = augmented_fitness(population, [i], config, rng, lambda a, b: distances[a, b])[0]
     print(f"{ind.node:>6d} {ind.raw_fitness:>4.0f} {s:>7.2f}")
 print("\nAn unusual lineage can out-rank a slightly fitter clone -- that is")
 print("the entire mechanism: hold the door open for genetic outsiders.")

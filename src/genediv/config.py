@@ -153,7 +153,8 @@ def env_name(key: str) -> str:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a ``key = value`` file into raw strings, validating key names."""
+    """Parse a ``key = value`` file into raw strings, validating key names;
+    each key appears at most once per file."""
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -173,6 +174,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if key not in _SCHEMA:
             raise ConfigError(key, "unknown configuration key")
+        if key in raw:
+            raise ConfigError(key, f"set again on line {lineno} of {path}")
         raw[key] = value.strip()
     return raw
 

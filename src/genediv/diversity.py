@@ -12,19 +12,18 @@ Three interchangeable distance metrics are provided:
 * ``trash_bits`` -- normalised Hamming distance between neutral bit markers.
 
 :func:`make_distance_fn` returns each as a :data:`DistanceFn`, which maps a
-list of members to their member-by-member :class:`DistanceMatrix`.  The
-matrix is read, not built: ``d[a, b]`` computes only the entries its index
-arrays select, so scoring a pool of ``M`` members against ``k`` peers each
-costs ``M * k`` pairs at any population size.
+list of members to a reader of their distances.  A reader computes only the
+pairs its index arrays select, so scoring a pool of ``M`` members against
+``k`` peers each costs ``M * k`` pairs at any population size.
 
 With the ``none`` kind or a zero weight shaping is inert: the engine then
-passes no matrix, and ``augmented_fitness(..., distances=None)`` returns the
+passes no reader, and ``augmented_fitness(..., distances=None)`` returns the
 raw fitness and draws no peers (see :mod:`genediv.engine`).
 
 :func:`augmented_fitness` scores several members in one call: it draws all
 their peer sets in one plan (:func:`draw_peer_sets`), which consumes the
 random stream exactly as one :func:`draw_distinct_indices` call per member
-would, and reads their distances from the pool's distance matrix, which the
+would, and reads their distances in one call of the pool's reader, which the
 caller makes once per pool and reuses.
 The stream order, and so every result, is the same as one call per member.
 
@@ -91,31 +90,16 @@ class DiversityConfig:
             )
 
 
-class DistanceMatrix:
-    """The member-by-member distance matrix of a list of members, computed on
-    read.
+DistanceReader = Callable[[np.ndarray, np.ndarray], np.ndarray]
+DistanceFn = Callable[[Sequence], DistanceReader]
+"""``fn(members)``: the reader ``read(a, b)`` of ``members``' distances.
 
-    ``d[a, b]`` is the distance from ``members[a]`` to ``members[b]`` for
-    integer indices or index arrays ``a`` and ``b`` that broadcast together,
-    as with an ndarray: ``d[r[:, None], r]`` is the block over ``r`` and
-    ``d[rows[:, None], peers]`` each row's peers.  Only the selected entries
-    are computed.  ``pair(a, b)`` computes them from arrays gathered once
-    per matrix.
-    """
-
-    __slots__ = ("shape", "_pair")
-
-    def __init__(self, size: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.shape = (size, size)
-        self._pair = pair
-
-    def __getitem__(self, key: tuple) -> np.ndarray:
-        a, b = key
-        return self._pair(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
-
-
-DistanceFn = Callable[[Sequence], DistanceMatrix]
-"""``fn(members)``: the :class:`DistanceMatrix` of ``members``."""
+``read(a, b)`` is the distance from ``members[a]`` to ``members[b]`` for
+integer index arrays ``a`` and ``b`` that broadcast together, shaped like
+their broadcast: ``read(r[:, None], r)`` is the block over ``r`` and
+``read(rows[:, None], peers)`` each row's peers.  Only the selected pairs are
+computed, from arrays gathered once per reader.
+"""
 
 
 def _stack_flat(arrays: list) -> np.ndarray:
@@ -127,36 +111,33 @@ def make_distance_fn(kind: MetricKind, index: AncestryIndex | None = None) -> Di
     """Return the :data:`DistanceFn` of ``kind``, or ``None`` for ``NONE``.
 
     Members only need ``genome`` / ``trash`` / ``node`` attributes.  The
-    behavioural and marker metrics stack the members' arrays once per matrix
+    behavioural and marker metrics stack the members' arrays once per reader
     and compare them with the same arithmetic as
     :func:`genediv.routing.domain_distance` and
-    :func:`genediv.trash_genes.tdist`, so every entry equals theirs bit for
-    bit: each domain entry is reduced over one contiguous run of its pair's
-    values, the order ``np.abs(g1 - g2).sum()`` uses.  The genealogical
-    metric reads ``index`` (see :meth:`AncestryIndex.gdist_among`), so its
-    matrix holds until the next :meth:`AncestryIndex.retain`.
+    :func:`genediv.trash_genes.tdist`, so every distance equals theirs bit
+    for bit: each domain distance is reduced over one contiguous run of its
+    pair's values, the order ``np.abs(g1 - g2).sum()`` uses.  The
+    genealogical metric reads ``index`` (see
+    :meth:`AncestryIndex.gdist_among`), so its reader holds until the next
+    :meth:`AncestryIndex.retain`.
     """
     if kind is MetricKind.NONE:
         return None
     if kind is MetricKind.DOMAIN:
-        def domain(members: Sequence) -> DistanceMatrix:
+        def domain(members: Sequence) -> DistanceReader:
             g = _stack_flat([m.genome for m in members])
-            return DistanceMatrix(len(g), lambda a, b: np.abs(g[a] - g[b]).sum(axis=-1))
+            return lambda a, b: np.abs(g[a] - g[b]).sum(axis=-1)
         return domain
     if kind is MetricKind.TRASH_BITS:
-        def trash_bits(members: Sequence) -> DistanceMatrix:
+        def trash_bits(members: Sequence) -> DistanceReader:
             t = _stack_flat([m.trash for m in members])
             tau = t.shape[1]
-            return DistanceMatrix(
-                len(t), lambda a, b: np.count_nonzero(t[a] != t[b], axis=-1) / tau
-            )
+            return lambda a, b: np.count_nonzero(t[a] != t[b], axis=-1) / tau
         return trash_bits
     if kind is MetricKind.GENEALOGICAL_TREE:
         if index is None:
             raise ValueError("genealogical metric needs an ancestry index")
-        return lambda members: DistanceMatrix(
-            len(members), index.gdist_among([m.node for m in members])
-        )
+        return lambda members: index.gdist_among([m.node for m in members])
     raise ValueError(f"unknown diversity metric kind: {kind!r}")
 
 
@@ -217,20 +198,20 @@ def augmented_fitness(
     indices: Sequence[int],
     config: DiversityConfig,
     rng: np.random.Generator,
-    distances: DistanceMatrix | np.ndarray | None,
+    distances: DistanceReader | None,
 ) -> list[float]:
     """Raw fitness of each ``pool[i]``, ``i`` in ``indices``, plus the weighted
     mean distance to fresh peers.
 
-    ``distances`` is the pool's member-by-member matrix: a
-    :class:`DistanceMatrix` of ``pool``, or any ndarray indexed the same way.
-    Each member gets ``k = min(config.sample_size, len(pool) - 1)`` distinct
-    other members of ``pool`` as peers, drawn from ``rng`` in ``indices``
-    order (see :func:`draw_peer_sets`), so one call consumes the stream
-    exactly as one call per index would; only the ``len(indices) * k`` peer
-    entries are read, and summed by :func:`sum_left`.  Shaping is inert with
-    no matrix (``distances=None``) or no other member: the raw fitness comes
-    back as a float and nothing is drawn.
+    ``distances`` is the reader of ``pool``'s distances (see
+    :data:`DistanceFn`).  Each member gets
+    ``k = min(config.sample_size, len(pool) - 1)`` distinct other members of
+    ``pool`` as peers, drawn from ``rng`` in ``indices`` order (see
+    :func:`draw_peer_sets`), so one call consumes the stream exactly as one
+    call per index would; the ``len(indices) * k`` peer distances are read in
+    one call of the reader, and summed by :func:`sum_left`.  Shaping is inert
+    with no reader (``distances=None``) or no other member: the raw fitness
+    comes back as a float, nothing is drawn and nothing is read.
     """
     k = min(config.sample_size, len(pool) - 1)
     if distances is None or k == 0:
@@ -240,5 +221,5 @@ def augmented_fitness(
     weight = config.weight
     return [
         float(pool[i].raw_fitness + weight * (sum_left(row) / k))
-        for i, row in zip(indices, distances[rows[:, None], peers.reshape(len(rows), k)].tolist())
+        for i, row in zip(indices, distances(rows[:, None], peers.reshape(len(rows), k)).tolist())
     ]

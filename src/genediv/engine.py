@@ -34,12 +34,12 @@ then the marker operator, and recording and evaluating the child draw
 nothing.  A tournament scores its candidates together and the pool is
 scored at once, each in one :func:`~genediv.diversity.augmented_fitness`
 call whose peer plan consumes the stream exactly as one draw per member
-would, so the order above holds.  The distances are read from one member-by-member matrix:
-the population's for the tournaments and the pool's for truncation; each
-read computes only the peer entries it selects and draws nothing.  Shaping
-with the ``none`` kind or a zero weight is inert: there is no matrix, so
-:func:`~genediv.diversity.augmented_fitness` returns the raw fitness and
-draws no peers.  The probe indices, in contrast,
+would, so the order above holds.  The distances are read through one reader
+per list of members: the population's for the tournaments and the pool's for
+truncation; each read computes only the peer distances it selects and draws
+nothing.  Shaping with the ``none`` kind or a zero weight is inert: there is
+no reader, so :func:`~genediv.diversity.augmented_fitness` returns the raw
+fitness and draws no peers.  The probe indices, in contrast,
 are drawn for every metric kind -- including ``none`` -- so runs that
 differ only in an inert diversity setting replay the exact same evolution.
 """
@@ -53,6 +53,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .diversity import (
+    DistanceReader,
     DiversityConfig,
     MetricKind,
     augmented_fitness,
@@ -212,20 +213,26 @@ def _ranked(
 
 
 def tournament_select(
-    pool: list[Individual],
+    population: list[Individual],
+    i: int,
     k: int,
-    scores_fn: Callable[[list[int]], list[float]],
+    config: DiversityConfig,
     rng: np.random.Generator,
+    distances: DistanceReader | None,
 ) -> Individual:
-    """Draw ``min(k, len(pool))`` distinct candidates; return the fittest.
+    """The partner of ``population[i]``: the fittest of ``min(k, n - 1)``
+    distinct candidates drawn from the other members.
 
-    Ties go to the smaller node id.  ``scores_fn`` is called once, with the
-    candidates' indices in ``pool`` in draw order, and returns their scores.
+    The candidates are scored on shaped fitness in one
+    :func:`augmented_fitness` call, in draw order, with ``distances`` the
+    population's reader.  Ties go to the smaller node id.
     """
-    if not pool:
-        raise ValueError("tournament pool must not be empty")
-    candidates = draw_distinct_indices(rng, len(pool), min(k, len(pool)))
-    return min(_ranked(scores_fn(candidates), [pool[j] for j in candidates]))[2]
+    n = len(population)
+    if n < 2:
+        raise ValueError(f"a tournament needs a population of 2 or more, got {n}")
+    candidates = [j + (j >= i) for j in draw_distinct_indices(rng, n - 1, min(k, n - 1))]
+    scores = augmented_fitness(population, candidates, config, rng, distances)
+    return min(_ranked(scores, [population[j] for j in candidates]))[2]
 
 
 def step_generation(
@@ -249,8 +256,8 @@ def step_generation(
 
     Shaped fitness takes one :func:`augmented_fitness` call per tournament,
     for all its candidates, and one for the whole pool.  The population's
-    distance matrix is made once for every tournament and the pool's once
-    for truncation; each read computes only the peer entries it selects.
+    distance reader is made once for every tournament and the pool's once
+    for truncation; each read computes only the peer distances it selects.
     """
     n = len(population)
     if n != config.population_size:
@@ -271,18 +278,9 @@ def step_generation(
 
     gates = rng.random(n) < config.crossover_prob
     for i in range(n):
-        if gates[i]:
-            others = population[:i] + population[i + 1 :]
-            if not others:
-                continue
-            # others[j] is population[j + (j >= i)]; its peers come from population.
+        if gates[i] and n > 1:
             partner = tournament_select(
-                others,
-                config.tournament_size,
-                lambda js: augmented_fitness(
-                    population, [j + (j >= i) for j in js], div, rng, population_distances
-                ),
-                rng,
+                population, i, config.tournament_size, div, rng, population_distances
             )
             offspring.append(spawn(population[i], partner))
 
@@ -312,7 +310,7 @@ def _trace_row(
     probe = np.asarray(draw_distinct_indices(rng, len(population), k))
     diversity = 0.0
     if distance_fn is not None and k > 1:
-        distances = distance_fn(population)[probe[:, None], probe].tolist()
+        distances = distance_fn(population)(probe[:, None], probe).tolist()
         pairs = list(itertools.combinations(range(k), 2))
         diversity = sum_left(distances[a][b] for a, b in pairs) / len(pairs)
     return TraceRow(

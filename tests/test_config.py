@@ -95,6 +95,16 @@ def test_unknown_key_is_named(tmp_path):
     assert "engine.popsize" in str(err.value)
 
 
+def test_key_set_twice_in_one_file_rejected(tmp_path):
+    path = write_cfg(tmp_path, "engine.tau = 8\n# comment\nengine.tau = 16\n")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(path)
+    assert err.value.key == "engine.tau"
+    assert f"set again on line 3 of {path}" in str(err.value)
+    with pytest.raises(ConfigError):
+        load_config(path, environ={})
+
+
 def test_malformed_line_rejected(tmp_path):
     path = write_cfg(tmp_path, "engine.population_size 12\n")
     with pytest.raises(ConfigError):

@@ -113,10 +113,15 @@ def reference_matrix(members, pair_fn):
     return [[pair_fn(x, y) for y in members] for x in members]
 
 
-def read_all(distances):
-    """Every entry of a distance matrix, as an ndarray."""
-    r = np.arange(distances.shape[0])
-    return distances[r[:, None], r]
+def read_all(read, size):
+    """Every distance that the reader of ``size`` members gives, as an ndarray."""
+    r = np.arange(size)
+    return read(r[:, None], r)
+
+
+def of(matrix):
+    """The reader of a precomputed distance matrix."""
+    return lambda a, b: matrix[a, b]
 
 
 def test_make_distance_fn_dispatch():
@@ -127,28 +132,26 @@ def test_make_distance_fn_dispatch():
 
     assert make_distance_fn(MetricKind.NONE) is None
     domain = make_distance_fn(MetricKind.DOMAIN)(members)
-    assert domain.shape == (6, 6)
-    assert read_all(domain).tolist() == reference_matrix(
+    assert read_all(domain, 6).tolist() == reference_matrix(
         members, lambda x, y: domain_distance(x.genome, y.genome)
     )
-    assert read_all(make_distance_fn(MetricKind.TRASH_BITS)(members)).tolist() == reference_matrix(
+    assert read_all(make_distance_fn(MetricKind.TRASH_BITS)(members), 6).tolist() == reference_matrix(
         members, lambda x, y: tdist(x.trash, y.trash)
     )
     fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, AncestryIndex.from_graph(graph))
-    assert read_all(fn(members[:2])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert read_all(fn(members)).tolist() == reference_matrix(
+    assert read_all(fn(members[:2]), 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert read_all(fn(members), 6).tolist() == reference_matrix(
         members, lambda x, y: graph.gdist(x.node, y.node)
     )
-    for matrix in (domain, fn(members)):
-        # A read of single entries or of a block is the same read of the whole.
-        whole = read_all(matrix)
-        assert matrix[1, 4] == whole[1, 4]
+    for read in (domain, fn(members)):
+        # A read of single pairs or of a block is the same read of the whole.
+        whole = read_all(read, 6)
+        assert read(1, 4) == whole[1, 4]
         rows, peers = np.array([5, 0, 2]), np.array([[1, 2], [3, 4], [0, 5]])
-        assert matrix[rows[:, None], peers].tolist() == whole[rows[:, None], peers].tolist()
+        assert read(rows[:, None], peers).tolist() == whole[rows[:, None], peers].tolist()
     for empty in (make_distance_fn(MetricKind.DOMAIN)([]),
                   make_distance_fn(MetricKind.TRASH_BITS)([]), fn([])):
-        assert empty.shape == (0, 0)
-        assert read_all(empty).shape == (0, 0)
+        assert read_all(empty, 0).shape == (0, 0)
 
 
 def test_make_distance_fn_requires_genealogy_source():
@@ -177,7 +180,9 @@ def test_distance_matrices_match_pairwise_metrics_on_evolved_pools():
 
     def check(members):
         for kind, fn in fns.items():
-            assert read_all(fn(members)).tolist() == reference_matrix(members, pair_fns[kind]), kind
+            assert read_all(fn(members), len(members)).tolist() == reference_matrix(
+                members, pair_fns[kind]
+            ), kind
 
     for gen in range(1, 41):
         born = {}
@@ -191,7 +196,8 @@ def test_distance_matrices_match_pairwise_metrics_on_evolved_pools():
         population = survivors
     # Selection under shaping still leaves near-clones behind: zero entries
     # off the diagonal are covered.
-    assert (read_all(fns[MetricKind.TRASH_BITS](population)) == 0.0).sum() > len(population)
+    trash = read_all(fns[MetricKind.TRASH_BITS](population), len(population))
+    assert (trash == 0.0).sum() > len(population)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +234,7 @@ def test_augmented_fitness_excludes_self_by_index():
     population[2].raw_fitness = 0.0
     config = DiversityConfig(MetricKind.DOMAIN, weight=1.0, sample_size=5)
     for _ in range(50):
-        shaped, = augmented_fitness(population, [2], config, rng, peer_bits(6))
+        shaped, = augmented_fitness(population, [2], config, rng, of(peer_bits(6)))
         peers = decode_peers(shaped * 5)
         assert len(peers) == 5
         assert 2 not in peers
@@ -238,10 +244,10 @@ def test_augmented_fitness_caps_peers_at_pool_size():
     rng = np.random.default_rng(36)
     population = make_population(rng, size=3)
     config = DiversityConfig(MetricKind.DOMAIN, weight=0.5, sample_size=5)
-    shaped = augmented_fitness(population, [0], config, rng, np.ones((3, 3)))
+    shaped = augmented_fitness(population, [0], config, rng, of(np.ones((3, 3))))
     assert shaped == [population[0].raw_fitness + 0.5]
     population[0].raw_fitness = 0.0
-    shaped, = augmented_fitness(population, [0], config, rng, peer_bits(3))
+    shaped, = augmented_fitness(population, [0], config, rng, of(peer_bits(3)))
     assert decode_peers(shaped / 0.5 * 2) == [1, 2]
 
 
@@ -250,7 +256,7 @@ def test_augmented_fitness_lonely_individual_gets_raw():
     population = make_population(rng, size=1)
     config = DiversityConfig(MetricKind.DOMAIN, weight=1.0)
     state_before = rng.bit_generator.state
-    shaped = augmented_fitness(population, [0, 0], config, rng, np.zeros((1, 1)))
+    shaped = augmented_fitness(population, [0, 0], config, rng, of(np.zeros((1, 1))))
     assert shaped == [0.0, 0.0]
     assert rng.bit_generator.state == state_before
 
@@ -262,7 +268,7 @@ def test_augmented_fitness_of_no_indices_is_empty():
     state = rng.bit_generator.state
     distances = make_distance_fn(MetricKind.DOMAIN)(population)
     assert augmented_fitness(population, [], config, rng, distances) == []
-    assert augmented_fitness(population, [], config, rng, read_all(distances)) == []
+    assert augmented_fitness(population, [], config, rng, of(read_all(distances, 4))) == []
     assert rng.bit_generator.state == state
 
 
@@ -291,7 +297,35 @@ def test_augmented_fitness_sums_peers_left_to_right():
     peers = draw_distinct_indices(np.random.default_rng(46), 4, 3, exclude=0)
     distances = np.zeros((4, 4))
     distances[0, peers] = [1e16, 1.0, -1e16]
-    assert augmented_fitness(population, [0], config, rng, distances) == [0.0]
+    assert augmented_fitness(population, [0], config, rng, of(distances)) == [0.0]
+
+
+def test_augmented_fitness_reads_once_per_call():
+    # Every shaped evaluation makes exactly one read, of the whole
+    # (members x peers) block; inert shaping makes none.
+    population = make_population(np.random.default_rng(51), size=7)
+    matrix = read_all(make_distance_fn(MetricKind.DOMAIN)(population), 7)
+    reads = []
+
+    def counting(a, b):
+        reads.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        return matrix[a, b]
+
+    rng = np.random.default_rng(52)
+    for sample_size in (1, 3, 6, 9):
+        config = DiversityConfig(MetricKind.DOMAIN, weight=1.0, sample_size=sample_size)
+        k = min(sample_size, len(population) - 1)
+        for indices in ([], [2], [4, 0, 6, 4]):
+            reads.clear()
+            assert len(augmented_fitness(population, indices, config, rng, counting)) == len(indices)
+            assert reads == [(len(indices), k)]
+            reads.clear()
+            augmented_fitness(population, indices, config, rng, None)
+            assert reads == []
+    # A lonely member has no peer to read.
+    config = DiversityConfig(MetricKind.DOMAIN, weight=1.0)
+    assert augmented_fitness(population[:1], [0], config, rng, counting) == [0.0]
+    assert reads == []
 
 
 def test_sum_left_adds_left_to_right():

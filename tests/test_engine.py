@@ -120,68 +120,81 @@ def _individual(node, fitness):
                       raw_fitness=fitness)
 
 
-def raw_scores(pool):
-    return lambda js: [pool[j].raw_fitness for j in js]
+RAW = DiversityConfig()
+
+
+def raw_tournament(pool, k, rng):
+    """The partner that a chooser at index 0 picks from ``pool`` on raw fitness."""
+    return tournament_select([_individual(-1, 0.0)] + pool, 0, k, RAW, rng, None)
 
 
 def test_tournament_single_member_pool():
     rng = np.random.default_rng(53)
     pool = [_individual(0, 1.0)]
-    assert tournament_select(pool, 2, raw_scores(pool), rng) is pool[0]
+    assert raw_tournament(pool, 2, rng) is pool[0]
 
 
 def test_tournament_picks_higher_fitness():
     rng = np.random.default_rng(54)
     pool = [_individual(0, 5.0), _individual(1, 3.0)]
     for _ in range(20):
-        assert tournament_select(pool, 2, raw_scores(pool), rng).node == 0
+        assert raw_tournament(pool, 2, rng).node == 0
 
 
 def test_tournament_tie_goes_to_smaller_node_id():
     rng = np.random.default_rng(55)
     pool = [_individual(3, 5.0), _individual(1, 5.0), _individual(2, 5.0)]
     for _ in range(20):
-        assert tournament_select(pool, 3, raw_scores(pool), rng).node == 1
+        assert raw_tournament(pool, 3, rng).node == 1
 
 
 def test_tournament_rejects_empty_pool():
     rng = np.random.default_rng(56)
     with pytest.raises(ValueError):
-        tournament_select([], 2, raw_scores([]), rng)
+        raw_tournament([], 2, rng)
+    with pytest.raises(ValueError):
+        tournament_select([], 0, 2, RAW, rng, None)
 
 
 def test_tournament_scores_candidates_in_one_call_as_one_call_each():
     # One augmented_fitness call for all candidates draws their peer sets
     # back to back, as one call per candidate would: same winner, same state.
+    # The chooser is never a candidate.
     population = [
         Individual(node=i, genome=PROBLEM.random_genome(np.random.default_rng(i)),
                    trash=np.zeros(32, np.uint8), raw_fitness=float(i % 3))
         for i in range(12)
     ]
     config = DiversityConfig(MetricKind.DOMAIN, weight=0.5, sample_size=5)
-    distances = make_distance_fn(MetricKind.DOMAIN)(population)
-    for seed in range(40):
-        for k in (1, 2, 3, 12):
-            calls = []
+    read = make_distance_fn(MetricKind.DOMAIN)(population)
+    reads = []
 
-            def batched(js):
-                calls.append(list(js))
-                return augmented_fitness(population, js, config, rng, distances)
+    def recording(a, b):
+        reads.append(np.ravel(a).tolist())
+        return read(a, b)
 
-            rng = np.random.default_rng(seed)
-            winner = tournament_select(population, k, batched, rng)
-            assert len(calls) == 1 and len(calls[0]) == k
+    for i in (0, 5, 11):
+        others = population[:i] + population[i + 1 :]
+        for seed in range(40):
+            for k in (1, 2, 3, 12):
+                reads.clear()
+                rng = np.random.default_rng(seed)
+                winner = tournament_select(population, i, k, config, rng, recording)
+                assert len(reads) == 1 and len(reads[0]) == min(k, len(others))
+                assert i not in reads[0]
 
-            reference = np.random.default_rng(seed)
-            candidates = draw_distinct_indices(reference, len(population), k)
-            scores = [
-                augmented_fitness(population, [j], config, reference, distances)[0]
-                for j in candidates
-            ]
-            best = max(zip(scores, (-population[j].node for j in candidates), candidates))[2]
-            assert winner is population[best]
-            assert rng.bit_generator.state == reference.bit_generator.state
-            assert rng.random() == reference.random()
+                reference = np.random.default_rng(seed)
+                drawn = draw_distinct_indices(reference, len(others), min(k, len(others)))
+                candidates = [population.index(others[j]) for j in drawn]
+                assert reads[0] == candidates
+                scores = [
+                    augmented_fitness(population, [j], config, reference, read)[0]
+                    for j in candidates
+                ]
+                best = max(zip(scores, (-population[j].node for j in candidates), candidates))[2]
+                assert winner is population[best]
+                assert rng.bit_generator.state == reference.bit_generator.state
+                assert rng.random() == reference.random()
 
 
 # ----------------------------------------------------------------------

@@ -142,6 +142,47 @@ def test_simulate_reaches_goal_over_the_wall():
     np.testing.assert_allclose(result.trajectory[10], [0.9, 0.65])
 
 
+def boundary_actions(count=180):
+    """``count`` actions spread evenly round the L1 circle ``|dx| + |dy| = 0.5``."""
+    actions = []
+    for q in range(4):
+        for s in range(count // 4):
+            dx, dy = 0.5 * (1 - 4 * s / count), 0.5 * (4 * s / count)
+            for _ in range(q):
+                dx, dy = -dy, dx
+            actions.append((dx, dy))
+    return actions
+
+
+def test_l1_optimum_is_8():
+    # Round the top of the wall, the goal is first entered at step 3, so at
+    # most 8 of the 10 steps end in it.
+    genome = zeros()
+    genome[:3] = [(0.2, 0.3), (0.45, 0.0), (0.0, -0.2)]
+    result = simulate(genome)
+    assert result.raw_fitness == 8
+    np.testing.assert_allclose(result.trajectory[1:4], [(0.3, 0.8), (0.75, 0.8), (0.75, 0.6)])
+
+
+def test_l1_goal_is_not_reached_in_two_steps():
+    problem = RoutingProblem()
+    actions = boundary_actions()
+    assert len(actions) == 180
+    assert all(abs(abs(dx) + abs(dy) - 0.5) < 1e-12 for dx, dy in actions)
+    for first in actions:
+        for second in actions:
+            assert problem.evaluate(np.array([first, second])) == 0, (first, second)
+
+
+def test_linf_reaches_the_goal_in_two_steps():
+    # The bound of 8 belongs to l1: a max-norm step reaches farther.
+    genome = zeros()
+    genome[:2] = [(0.2, 0.5), (0.5, -0.3)]
+    result = simulate(genome, DEFAULT_ARENA, "linf")
+    assert result.raw_fitness == 9
+    np.testing.assert_allclose(result.trajectory[1:3], [(0.3, 1.0), (0.8, 0.7)])
+
+
 def test_simulate_rejects_moves_through_the_wall():
     genome = zeros()
     genome[0] = (0.5, 0.0)  # straight into the obstacle
