@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import genediv.cli
@@ -137,6 +139,25 @@ def test_grid_subcommand(tmp_path, capsys):
     assert (out / "grid_trash_bits.csv").exists()
     stdout = capsys.readouterr().out
     assert "best lambda for trash_bits" in stdout
+
+
+# sha256 of grid_<metric>.csv on the defaults with three seeds and 40
+# generations: trash_bits sweeps the normalised default grid, domain its own.
+GRID_SHA256 = {
+    "trash_bits": "065f79531f309df435f810958224371d800330468ba5c19ad788e046a5c8986c",
+    "domain": "0cf4715088c09fec248be084834fee9cf7f6b3f52508d39a8e30cb9dc5403708",
+}
+
+
+@pytest.mark.parametrize("metric", sorted(GRID_SHA256))
+def test_grid_csv_matches_reference_sha256(tmp_path, metric):
+    cfg = write_cfg(tmp_path, "run.num_seeds = 3\nengine.generations = 40\n")
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["grid", "--config", cfg, "--metric", metric, "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 0
+        blob = (out / f"grid_{metric}.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == GRID_SHA256[metric]
 
 
 def test_grid_rejects_none_metric(tmp_path, capsys):
