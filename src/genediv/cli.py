@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -25,12 +26,10 @@ from .config import (
     load_config,
     parse_metric_kind,
     seeds_from,
-    variant_weight,
 )
 from .diversity import MetricKind
 from .experiment import (
     ExperimentSpec,
-    GridSpec,
     dump_genealogy,
     format_real,
     grid_search,
@@ -45,12 +44,10 @@ EXIT_IO = 2
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
-    engine = build_engine_config(cfg)
-    variants = [(kind.value, kind, variant_weight(cfg, kind)) for kind in cfg["run.variants"]]
+    variants = [(kind.value, build_engine_config(cfg, kind)) for kind in cfg["run.variants"]]
     spec = ExperimentSpec(
         variants=variants,
         seeds=seeds_from(cfg),
-        engine=engine,
         problem=problem,
         output_path=Path(args.out),
     )
@@ -66,11 +63,15 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     kind = parse_metric_kind("metric", args.metric)
     if kind is MetricKind.NONE:
         raise ConfigError("metric", "grid search needs a diversity metric, not 'none'")
-    spec = GridSpec(
-        kind=kind,
-        lambda_values=list(lambda_grid(cfg, kind)),
+    engine = build_engine_config(cfg, kind)
+    # Named by repr, which tells apart any two distinct weights.
+    variants = [
+        (repr(lam), replace(engine, diversity=replace(engine.diversity, weight=lam)))
+        for lam in lambda_grid(cfg, kind)
+    ]
+    spec = ExperimentSpec(
+        variants=variants,
         seeds=seeds_from(cfg),
-        engine=build_engine_config(cfg, kind),
         problem=build_problem(cfg),
         output_path=Path(args.out),
     )

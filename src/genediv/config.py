@@ -214,16 +214,11 @@ def build_problem(cfg: dict[str, object]) -> RoutingProblem:
         raise ConfigError(keys.get(exc.field, f"arena.{exc.field}"), str(exc)) from None
 
 
-def variant_weight(cfg: dict[str, object], kind: MetricKind) -> float:
-    """The diversity weight of a metric kind: ``lambda.<kind>``, except 0.0
-    for the baseline, which ignores ``lambda.none``."""
-    return 0.0 if kind is MetricKind.NONE else cfg[f"lambda.{kind.value}"]
-
-
 def build_engine_config(
     cfg: dict[str, object], kind: MetricKind = MetricKind.NONE
 ) -> EngineConfig:
-    """Assemble an :class:`EngineConfig` for one variant, weighted by ``lambda.<kind>``."""
+    """Assemble an :class:`EngineConfig` for one variant, weighted by
+    ``lambda.<kind>`` (the baseline ignores ``lambda.none``: its weight is 0)."""
     try:
         return EngineConfig(
             population_size=cfg["engine.population_size"],
@@ -234,7 +229,9 @@ def build_engine_config(
             immigrants_per_gen=cfg["engine.immigrants_per_gen"],
             tau=cfg["engine.tau"],
             diversity=DiversityConfig(
-                kind=kind, weight=variant_weight(cfg, kind), sample_size=cfg["diversity.sample_size"]
+                kind=kind,
+                weight=0.0 if kind is MetricKind.NONE else cfg[f"lambda.{kind.value}"],
+                sample_size=cfg["diversity.sample_size"],
             ),
         )
     except SettingError as exc:
@@ -249,14 +246,7 @@ def seeds_from(cfg: dict[str, object]) -> list[int]:
     return [base + i for i in range(cfg["run.num_seeds"])]
 
 
-def default_lambda_grid(kind: MetricKind) -> tuple[float, ...]:
-    """Search grid used when ``grid.lambdas`` is not set: a coarse span for
-    metrics normalised to [0, 1], a lower span for the unbounded one."""
-    if kind is MetricKind.DOMAIN:
-        return DOMAIN_LAMBDA_GRID
-    return NORMALIZED_LAMBDA_GRID
-
-
 def lambda_grid(cfg: dict[str, object], kind: MetricKind) -> tuple[float, ...]:
-    values = cfg["grid.lambdas"]
-    return values if values else default_lambda_grid(kind)
+    """The weights ``grid`` sweeps: ``grid.lambdas``, or the metric's default grid."""
+    default = DOMAIN_LAMBDA_GRID if kind is MetricKind.DOMAIN else NORMALIZED_LAMBDA_GRID
+    return cfg["grid.lambdas"] or default

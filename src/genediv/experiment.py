@@ -1,7 +1,8 @@
 """Batch experiment harness: variant comparison, grid search, CSV artifacts.
 
-``run_experiment`` executes every configured variant over a common list of
-seeds and writes:
+Both commands take an :class:`ExperimentSpec`: named variants, each a built
+:class:`EngineConfig`, run over a common list of seeds.  ``run_experiment``
+writes:
 
 * one raw CSV per variant -- header
   ``variant,seed,generation,mean_raw_fitness,best_raw_fitness,mean_probe_diversity``
@@ -12,12 +13,13 @@ seeds and writes:
   variant per generation, where mean and standard deviation are taken
   across seeds of the per-generation population mean.
 
-``grid_search`` sweeps candidate diversity weights for a single metric and
-writes ``lambda,mean_final_fitness,std_final_fitness`` (statistics of the
-final generation's mean raw fitness across seeds), reporting the argmax
-weight with ties broken toward the smaller value.
+``grid_search`` reads each variant as one candidate diversity weight of a
+single metric, in ascending order, and writes
+``lambda,mean_final_fitness,std_final_fitness`` (statistics of the final
+generation's mean raw fitness across seeds), reporting the argmax weight
+with ties broken toward the smaller value.
 
-Both run their independent (variant or weight, seed) runs on a process pool,
+Both run their independent (variant, seed) runs on a process pool,
 one worker per usable CPU unless ``jobs`` says otherwise; each run draws only
 from its own seed's stream and the CSVs are written from the traces in task
 order, so any worker count writes the same bytes.
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .config import ConfigError
-from .diversity import DiversityConfig, MetricKind, sum_left
+from .diversity import sum_left
 from .engine import EngineConfig, TraceRow, run_evolution
 from .genealogy import write_genealogy_log
 from .routing import RoutingProblem
@@ -67,22 +69,23 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 @dataclass
 class ExperimentSpec:
-    """One comparison experiment: which variants, which seeds, where to write."""
+    """One batch: each named variant's engine over every seed, and where to write."""
 
-    variants: list[tuple[str, MetricKind, float]]
+    variants: list[tuple[str, EngineConfig]]
     seeds: list[int]
-    engine: EngineConfig
     problem: RoutingProblem
     output_path: Path
 
     def validate(self) -> None:
         if not self.variants:
             raise ValueError("experiment needs at least one variant")
-        names = [name for name, _, _ in self.variants]
+        names = [name for name, _ in self.variants]
         if len(set(names)) != len(names):
             raise ValueError(f"variant names must be unique, got {names}")
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be unique, got {self.seeds}")
 
 
 @dataclass
@@ -92,13 +95,6 @@ class ExperimentResult:
     raw_paths: dict[str, Path]
     aggregate_path: Path
     traces: dict[tuple[str, int], list[TraceRow]]
-
-
-def _engine_for(spec_engine: EngineConfig, kind: MetricKind, weight: float) -> EngineConfig:
-    diversity = DiversityConfig(
-        kind=kind, weight=weight, sample_size=spec_engine.diversity.sample_size
-    )
-    return replace(spec_engine, diversity=diversity)
 
 
 def _usable_cpus() -> int:
@@ -144,17 +140,13 @@ def _run_traces(
         return list(pool.map(_run_trace, *zip(*tasks)))
 
 
-def _run_batch(
-    spec: ExperimentSpec | GridSpec, settings: list[tuple[MetricKind, float]], jobs: int | None
-) -> tuple[Path, Iterator[list[TraceRow]]]:
-    """Validate ``spec`` and the engine of every ``(kind, weight)`` setting,
-    make the output directory and run every setting over every seed; return
-    the directory and the traces, settings outer and seeds inner.  Nothing
-    is written, and no worker started, when the spec, a setting or ``jobs``
-    is invalid."""
+def _run_batch(spec: ExperimentSpec, jobs: int | None) -> tuple[Path, Iterator[list[TraceRow]]]:
+    """Validate ``spec``, make the output directory and run every variant
+    over every seed; return the directory and the traces, variants outer and
+    seeds inner.  Nothing is written, and no worker started, when the spec
+    or ``jobs`` is invalid."""
     spec.validate()
-    engines = [_engine_for(spec.engine, kind, weight) for kind, weight in settings]
-    tasks = [(engine, spec.problem, seed) for engine in engines for seed in spec.seeds]
+    tasks = [(engine, spec.problem, seed) for _, engine in spec.variants for seed in spec.seeds]
     workers = _worker_count(jobs, len(tasks), _usable_cpus())
     out_dir = Path(spec.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,13 +160,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> ExperimentR
     at most one per usable CPU and per run; with one worker they run in
     this process.  The CSVs are the same bytes for every worker count.
     """
-    out_dir, done = _run_batch(spec, [(kind, weight) for _, kind, weight in spec.variants], jobs)
+    out_dir, done = _run_batch(spec, jobs)
 
     raw_paths: dict[str, Path] = {}
     traces: dict[tuple[str, int], list[TraceRow]] = {}
     aggregate_lines = [AGGREGATE_HEADER]
 
-    for name, _, _ in spec.variants:
+    for name, engine in spec.variants:
         per_seed: list[list[TraceRow]] = []
         raw_lines = [RAW_HEADER]
         for seed in spec.seeds:
@@ -192,7 +184,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> ExperimentR
         _write_lines(raw_path, raw_lines)
         raw_paths[name] = raw_path
 
-        for g in range(spec.engine.generations):
+        for g in range(engine.generations):
             mean, std = _mean_std([rows[g].mean_raw_fitness for rows in per_seed])
             aggregate_lines.append(
                 f"{name},{per_seed[0][g].generation},{format_real(mean)},{format_real(std)}"
@@ -204,50 +196,37 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> ExperimentR
 
 
 @dataclass
-class GridSpec:
-    """A diversity-weight sweep for one metric kind."""
-
-    kind: MetricKind
-    lambda_values: list[float]
-    seeds: list[int]
-    engine: EngineConfig
-    problem: RoutingProblem
-    output_path: Path
-
-    def validate(self) -> None:
-        if not self.lambda_values:
-            raise ValueError("grid search needs at least one candidate weight")
-        for a, b in zip(self.lambda_values, self.lambda_values[1:]):
-            if a >= b:
-                raise ValueError(f"candidate weights must be sorted ascending, got {self.lambda_values}")
-        if not self.seeds:
-            raise ValueError("grid search needs at least one seed")
-        if self.engine.generations < 1:
-            raise ConfigError("engine.generations", "grid search needs at least one generation")
-
-
-@dataclass
 class GridResult:
     """Per-weight statistics and the selected best weight."""
 
-    kind: MetricKind
     rows: list[tuple[float, float, float]]  # (lambda, mean final, std final)
     best_lambda: float
     path: Path
 
 
-def grid_search(spec: GridSpec, jobs: int | None = None) -> GridResult:
-    """Evaluate each candidate weight over all seeds; write and return results.
+def grid_search(spec: ExperimentSpec, jobs: int | None = None) -> GridResult:
+    """Evaluate each variant's diversity weight over all seeds; write and return results.
 
-    The (weight, seed) runs are spread over workers as in ``run_experiment``.
+    The variants must share one metric kind, have strictly ascending weights
+    and run at least one generation, or nothing is written and no worker
+    started.  The runs are spread over workers as in ``run_experiment``.
     """
-    out_dir, done = _run_batch(spec, [(spec.kind, lam) for lam in spec.lambda_values], jobs)
+    kinds = {engine.diversity.kind.value for _, engine in spec.variants}
+    if len(kinds) > 1:
+        raise ValueError(f"grid search sweeps one metric kind, got {sorted(kinds)}")
+    lambdas = [engine.diversity.weight for _, engine in spec.variants]
+    for a, b in zip(lambdas, lambdas[1:]):
+        if a >= b:
+            raise ValueError(f"candidate weights must be sorted ascending, got {lambdas}")
+    if any(engine.generations < 1 for _, engine in spec.variants):
+        raise ConfigError("engine.generations", "grid search needs at least one generation")
+    out_dir, done = _run_batch(spec, jobs)
 
     rows: list[tuple[float, float, float]] = []
-    best_lambda = spec.lambda_values[0]
+    best_lambda = lambdas[0]
     best_mean = -math.inf
     lines = [GRID_HEADER]
-    for lam in spec.lambda_values:
+    for lam in lambdas:
         finals = [next(done)[-1].mean_raw_fitness for _ in spec.seeds]
         mean, std = _mean_std(finals)
         rows.append((lam, mean, std))
@@ -256,9 +235,9 @@ def grid_search(spec: GridSpec, jobs: int | None = None) -> GridResult:
             best_mean = mean
             best_lambda = lam
 
-    path = out_dir / f"grid_{spec.kind.value}.csv"
+    path = out_dir / f"grid_{kinds.pop()}.csv"
     _write_lines(path, lines)
-    return GridResult(kind=spec.kind, rows=rows, best_lambda=best_lambda, path=path)
+    return GridResult(rows=rows, best_lambda=best_lambda, path=path)
 
 
 def dump_genealogy(

@@ -160,6 +160,14 @@ def test_grid_csv_matches_reference_sha256(tmp_path, metric):
         assert hashlib.sha256(blob).hexdigest() == GRID_SHA256[metric]
 
 
+def test_grid_tells_close_weights_apart(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_CFG + "grid.lambdas = 0.1 0.1000001\n")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--metric", "trash_bits", "--out", str(out)]) == 0
+    lines = (out / "grid_trash_bits.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.100000", "0.100000"]
+
+
 def test_grid_rejects_none_metric(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["grid", "--config", cfg, "--metric", "none", "--out", str(tmp_path / "o")]) == 1

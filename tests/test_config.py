@@ -12,7 +12,6 @@ from genediv.config import (
     load_config,
     read_config_file,
     seeds_from,
-    variant_weight,
 )
 
 
@@ -184,16 +183,16 @@ def test_build_engine_config_per_variant():
     cfg = load_config(None, environ={})
     engine = build_engine_config(cfg, MetricKind.TRASH_BITS)
     assert engine.diversity.kind is MetricKind.TRASH_BITS
-    assert engine.diversity.weight == variant_weight(cfg, MetricKind.TRASH_BITS)
+    assert engine.diversity.weight == cfg["lambda.trash_bits"] == 2.0
 
     baseline = build_engine_config(cfg)
     assert baseline.diversity.kind is MetricKind.NONE
     assert baseline.diversity.weight == 0.0
 
-    # The baseline ignores lambda.none, wherever its weight is looked up.
+    # The baseline ignores lambda.none.
     cfg = load_config(None, environ={"GENEDIV_LAMBDA_NONE": "3.0"})
     assert cfg["lambda.none"] == 3.0
-    assert variant_weight(cfg, MetricKind.NONE) == 0.0
+    assert build_engine_config(cfg, MetricKind.NONE).diversity.weight == 0.0
     assert build_engine_config(cfg).diversity.weight == 0.0
 
 

@@ -13,7 +13,6 @@ from genediv.experiment import (
     GRID_HEADER,
     RAW_HEADER,
     ExperimentSpec,
-    GridSpec,
     _mean_std,
     _worker_count,
     dump_genealogy,
@@ -22,22 +21,30 @@ from genediv.experiment import (
     run_experiment,
 )
 from genediv import read_genealogy_log
+from genediv.routing import SettingError
 
 REAL = r"\d+\.\d{6}"
 PROBLEM = RoutingProblem()
 
 
-def tiny_engine(generations=10, population_size=8):
-    return EngineConfig(population_size=population_size, generations=generations)
+def tiny_engine(generations=10, population_size=8, kind=MetricKind.NONE, weight=0.0):
+    return EngineConfig(
+        population_size=population_size,
+        generations=generations,
+        diversity=DiversityConfig(kind=kind, weight=weight),
+    )
 
 
 def tiny_spec(out, variants=None, seeds=(3, 4), generations=10):
+    """A spec of ``(name, kind, weight)`` variants, each built into its engine."""
     if variants is None:
         variants = [("none", MetricKind.NONE, 0.0)]
     return ExperimentSpec(
-        variants=variants,
+        variants=[
+            (name, tiny_engine(generations, kind=kind, weight=weight))
+            for name, kind, weight in variants
+        ],
         seeds=list(seeds),
-        engine=tiny_engine(generations),
         problem=PROBLEM,
         output_path=Path(out),
     )
@@ -98,6 +105,37 @@ def test_run_experiment_validates_spec(tmp_path):
     spec = tiny_spec(tmp_path, seeds=())
     with pytest.raises(ValueError):
         run_experiment(spec)
+
+
+def test_repeated_seed_is_rejected_before_any_write(tmp_path, two_cpus):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="seeds must be unique"):
+        run_experiment(tiny_spec(out, seeds=(3, 3)), jobs=2)
+    with pytest.raises(ValueError, match="seeds must be unique"):
+        grid_search(grid_spec(out, [0.5, 1.0], seeds=(4, 5, 4)), jobs=2)
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_variants_may_share_a_kind_and_differ_in_generations(tmp_path):
+    spec = ExperimentSpec(
+        variants=[
+            ("short", tiny_engine(3, kind=MetricKind.TRASH_BITS, weight=1.0)),
+            ("long", tiny_engine(5, kind=MetricKind.TRASH_BITS, weight=2.0)),
+        ],
+        seeds=[3, 4],
+        problem=PROBLEM,
+        output_path=tmp_path,
+    )
+    result = run_experiment(spec)
+    assert list(result.raw_paths) == ["short", "long"]
+    assert [len(result.traces[("short", s)]) for s in (3, 4)] == [3, 3]
+    assert [len(result.traces[("long", s)]) for s in (3, 4)] == [5, 5]
+    lines = result.aggregate_path.read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        *(["short", str(g)] for g in range(1, 4)),
+        *(["long", str(g)] for g in range(1, 6)),
+    ]
 
 
 def test_format_real_is_fixed_width():
@@ -197,15 +235,16 @@ BAD_SETTINGS = [
 
 @pytest.mark.parametrize("kind, weight", BAD_SETTINGS)
 def test_invalid_setting_writes_and_starts_nothing(tmp_path, two_cpus, kind, weight):
+    # A variant is a built engine: a bad setting fails when it is built.
     for jobs in (1, 2):
         out = tmp_path / f"run{jobs}"
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingError):
             run_experiment(tiny_spec(out, variants=[("v", kind, weight)]), jobs=jobs)
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
         out = tmp_path / f"grid{jobs}"
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingError):
             grid_search(grid_spec(out, [weight], kind=kind), jobs=jobs)
         assert not out.exists()
         assert multiprocessing.active_children() == []
@@ -216,14 +255,7 @@ def test_invalid_setting_writes_and_starts_nothing(tmp_path, two_cpus, kind, wei
 # ----------------------------------------------------------------------
 
 def grid_spec(out, lambdas, kind=MetricKind.TRASH_BITS, seeds=(3, 4), generations=10):
-    return GridSpec(
-        kind=kind,
-        lambda_values=list(lambdas),
-        seeds=list(seeds),
-        engine=tiny_engine(generations),
-        problem=PROBLEM,
-        output_path=Path(out),
-    )
+    return tiny_spec(out, [(repr(lam), kind, lam) for lam in lambdas], seeds, generations)
 
 
 def test_grid_zero_weight_equals_baseline(tmp_path):
@@ -254,15 +286,22 @@ def test_grid_report_shape_and_argmax(tmp_path):
         assert pattern.match(line), line
 
 
-def test_grid_validates_spec(tmp_path):
-    with pytest.raises(ValueError):
-        grid_search(grid_spec(tmp_path, []))
-    with pytest.raises(ValueError):
-        grid_search(grid_spec(tmp_path, [0.5, 0.1]))
-    with pytest.raises(ValueError):
-        grid_search(grid_spec(tmp_path, [0.1], generations=0))
-    with pytest.raises(ValueError):
-        grid_search(grid_spec(tmp_path, [0.1], seeds=()))
+def test_grid_validates_spec(tmp_path, two_cpus):
+    out = tmp_path / "out"
+    mixed = tiny_spec(out, [("a", MetricKind.DOMAIN, 0.1), ("b", MetricKind.TRASH_BITS, 0.5)])
+    rejected = [
+        (grid_spec(out, []), ValueError, "at least one variant"),
+        (grid_spec(out, [0.5, 0.1]), ValueError, "sorted ascending"),
+        (grid_spec(out, [0.1, 0.1]), ValueError, "sorted ascending"),
+        (grid_spec(out, [0.1], generations=0), ConfigError, "engine.generations"),
+        (grid_spec(out, [0.1], seeds=()), ValueError, "at least one seed"),
+        (mixed, ValueError, "one metric kind"),
+    ]
+    for spec, error, message in rejected:
+        with pytest.raises(error, match=message):
+            grid_search(spec, jobs=2)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

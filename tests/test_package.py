@@ -1,6 +1,8 @@
 """The package's public surface, pinned so that growth or a drop is a visible diff."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import genediv
@@ -79,3 +81,21 @@ def test_no_private_access_across_objects():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps exists: a renamed target
+    is recorded as absent there, and its per-layer metrics then read 0."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+    loader = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    missing = []
+    for module_name, attribute_path in spans.TARGETS:
+        owner = importlib.import_module(f"genediv.{module_name}")
+        for part in attribute_path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attribute_path}")
+    assert spans.TARGETS
+    assert missing == []
