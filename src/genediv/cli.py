@@ -77,8 +77,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     )
     result = grid_search(spec, jobs=args.jobs)
     for lam, mean, std in result.rows:
-        print(f"lambda={format_real(lam)} mean_final={format_real(mean)} std={format_real(std)}")
-    print(f"best lambda for {kind.value}: {format_real(result.best_lambda)}")
+        print(f"lambda={lam!r} mean_final={format_real(mean)} std={format_real(std)}")
+    print(f"best lambda for {kind.value}: {result.best_lambda!r}")
     print(f"wrote {result.path}")
     return EXIT_OK
 

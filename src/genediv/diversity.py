@@ -12,9 +12,10 @@ Three interchangeable distance metrics are provided:
 * ``trash_bits`` -- normalised Hamming distance between neutral bit markers.
 
 :func:`make_distance_fn` returns each as a :data:`DistanceFn`, which maps a
-list of members to a reader of their distances.  A reader computes only the
-pairs its index arrays select, so scoring a pool of ``M`` members against
-``k`` peers each costs ``M * k`` pairs at any population size.
+list of members to a reader of their distances.  A domain or marker reader
+computes only the pairs its index arrays select, so scoring a pool of ``M``
+members against ``k`` peers each costs ``M * k`` pairs at any population
+size; the genealogical reader reads a table the index builds once per pool.
 
 With the ``none`` kind or a zero weight shaping is inert: the engine then
 passes no reader, and ``augmented_fitness(..., distances=None)`` returns the
@@ -117,9 +118,9 @@ def make_distance_fn(kind: MetricKind, index: AncestryIndex | None = None) -> Di
     :func:`genediv.trash_genes.tdist`, so every distance equals theirs bit
     for bit: each domain distance is reduced over one contiguous run of its
     pair's values, the order ``np.abs(g1 - g2).sum()`` uses.  The
-    genealogical metric reads ``index`` (see
-    :meth:`AncestryIndex.gdist_among`), so its reader holds until the next
-    :meth:`AncestryIndex.retain`.
+    genealogical metric reads a table of ``index`` (see
+    :meth:`AncestryIndex.gdist_among`), which later births and retains
+    leave valid.
     """
     if kind is MetricKind.NONE:
         return None

@@ -37,11 +37,13 @@ call whose peer plan consumes the stream exactly as one draw per member
 would, so the order above holds.  The distances are read through one reader
 per list of members: the population's for the tournaments and the pool's for
 truncation; each read computes only the peer distances it selects and draws
+nothing.  A genealogical run's ancestry index takes each generation's births
+in one update, after the immigrants and before the pool is scored, and draws
 nothing.  Shaping with the ``none`` kind or a zero weight is inert: there is
 no reader, so :func:`~genediv.diversity.augmented_fitness` returns the raw
-fitness and draws no peers.  The probe indices, in contrast,
-are drawn for every metric kind -- including ``none`` -- so runs that
-differ only in an inert diversity setting replay the exact same evolution.
+fitness and draws no peers.  The probe indices, in contrast, are drawn for
+every metric kind -- including ``none`` -- so runs that differ only in an
+inert diversity setting replay the exact same evolution.
 """
 
 from __future__ import annotations
@@ -159,13 +161,12 @@ def _spawner(
     rng: np.random.Generator,
     tau: int,
     generation: int = 0,
-    ancestry_index: AncestryIndex | None = None,
     registry: dict[int, Individual] | None = None,
 ) -> Callable[..., Individual]:
     """``spawn(*parents)``: the one way an individual is born, by the birth
     rule above.  No parent makes a random individual, one a mutant and two a
-    recombinant.  It records the child in ``graph`` and ``ancestry_index``,
-    scores it and files it in ``registry``."""
+    recombinant.  It records the child in ``graph``, scores it and files it
+    in ``registry``."""
 
     def spawn(*parents: Individual) -> Individual:
         # The genome operator is evaluated before the marker operator.
@@ -180,8 +181,6 @@ def _spawner(
             trash = uniform_cross(p.trash, q.trash, rng)
         nodes = [p.node for p in parents]
         node = graph.record_birth(nodes, generation)
-        if ancestry_index is not None:
-            ancestry_index.add(node, nodes)
         child = Individual(node, genome, trash, float(problem.evaluate(genome)))
         if registry is not None:
             registry[node] = child
@@ -249,10 +248,10 @@ def step_generation(
     """Advance one generation and return the new population.
 
     ``generation`` stamps the birth generation of every child created here.
-    ``ancestry_index``, when given, is kept in sync with new births (callers
-    should ``retain`` the survivors afterwards); genealogical shaping reads
-    its distances there, so it needs one.  ``registry`` collects every
-    individual ever created, for offline analysis.
+    ``ancestry_index``, when given, takes this generation's births in one
+    call before the pool is scored (``retain`` the survivors afterwards);
+    genealogical shaping reads its distances there, so it needs one.
+    ``registry`` collects every individual ever created, for offline analysis.
 
     Shaped fitness takes one :func:`augmented_fitness` call per tournament,
     for all its candidates, and one for the whole pool.  The population's
@@ -268,7 +267,7 @@ def step_generation(
     distance_fn = make_distance_fn(div.kind, ancestry_index) if div.weight != 0.0 else None
     population_distances = distance_fn and distance_fn(population)
 
-    spawn = _spawner(graph, problem, rng, config.tau, generation, ancestry_index, registry)
+    spawn = _spawner(graph, problem, rng, config.tau, generation, registry)
     offspring: list[Individual] = []
 
     gates = rng.random(n) < config.mutation_prob
@@ -286,6 +285,8 @@ def step_generation(
 
     for _ in range(config.immigrants_per_gen):
         offspring.append(spawn())
+    if ancestry_index is not None:
+        ancestry_index.add_births((c.node, graph.parents(c.node)) for c in offspring)
 
     pool = population + offspring
     scores = augmented_fitness(pool, range(len(pool)), div, rng, distance_fn and distance_fn(pool))

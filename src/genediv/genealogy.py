@@ -21,13 +21,13 @@ On top of the raw graph this module provides:
   a slower reference distance used to sanity-check ``gdist``.
 * ``AncestryIndex`` -- an incremental index over the individuals still
   alive.  It keeps, for every pair of them, how close their nearest common
-  ancestor sits, updated from the parents' entries at each birth, and each
-  one's depth; a ``gdist`` query derives the distance from these in O(1) per
-  pair.  Per-individual ancestor distances over the live ancestry (the
-  ancestors of the individuals still alive) are kept only to compute each
-  newborn's depth.  Memory is bounded by the living individuals and their
-  live ancestry rather than by every node ever born, so it is fast enough
-  for use inside a selection loop.
+  ancestor sits, and each one's depth, computed for a whole batch of births
+  (a generation's) from the parents' entries; ``gdist`` follows in O(1) per
+  pair, read from one table per list of individuals.  Ancestor distances
+  over pruned *depth columns* (ancestors that can still set a depth) serve
+  only to compute newborns' depths.  Memory and the cost of a generation
+  are bounded by the living individuals and their distinct lineages rather
+  than by the horizon, so it is fast enough for use inside a selection loop.
 
 Plain-text logs of the graph (one node per line) can be written and read
 back with :func:`write_genealogy_log` / :func:`read_genealogy_log`.
@@ -329,147 +329,185 @@ class AncestryIndex:
 
     and the numerator of ``gdist(x, y)`` is ``min(near[x, y], near[y, x])``.
 
-    The denominator needs each node's depth, which is a maximum over all of
-    its ancestors.  To compute it at birth the index also keeps, per tracked
-    node, its ``adist`` from every node of the *live ancestry* (every node
-    some tracked node descends from, in birth order); a child's row is the
-    element-wise minimum of its parents' rows plus one.  These rows serve
-    nothing else.  ``add`` keeps only closeness and depth; a query derives
-    ``gdist`` from two closeness entries and two depths per pair.
+    The denominator needs each node's depth, its largest ``adist`` from an
+    ancestor.  To compute it at birth the index also keeps, per tracked node,
+    its ``adist`` from the nodes of the *depth columns* (ancestors of tracked
+    nodes, in birth order): a child's row is the element-wise minimum of its
+    parents' rows plus one, with 0 in its own new column.
 
-    Nodes must be added in birth order while their parents are still
-    tracked.  :meth:`retain`, called after selection, drops the dead
-    individuals and compacts away every live-ancestry column no remaining
-    node reaches (the "simplify" step of tree-sequence recording).  A query
-    costs O(1) per pair, ``add`` costs O(tracked + live ancestry), and memory
-    is bounded by the tracked nodes and their live ancestry rather than by
-    every node ever born.  Storage doubles on demand.
+    *Batches.*  :meth:`add_births` takes births whose parents were tracked
+    before the batch, as a generation's are, and computes them all in one
+    update: two children of a batch share exactly their parents' common
+    ancestors, so their entry is ``1 + min`` over the four parent pairings,
+    the second rule read on a child's new row.  :meth:`add` is one birth.
+
+    *Pruning.*  :meth:`retain`, called after selection, drops the dead and
+    every column no survivor reaches (the "simplify" step of tree-sequence
+    recording).  Once the width has doubled since the last prune it also
+    drops each column ``c`` that a column ``d`` covers: the same rows reach
+    both and ``d >= c`` in each (of equal columns the earliest stays).  A
+    child's entry in either is ``1 + min`` over the same parents and
+    ``retain`` only removes rows, so ``d`` covers ``c`` for good: a dropped
+    column never sets a depth, and the width stays flat over the horizon.
+
+    *Costs.*  A batch of ``b`` births costs O(b · (tracked + columns)),
+    ``retain`` O(tracked · columns), a prune O(columns² · tracked) at most.
+    :meth:`gdist_among` builds a table of its nodes' distances, which
+    ``retain`` cuts to the survivors: a generation builds one, for its pool.
+    Memory is bounded by the tracked nodes and columns, not by the horizon.
     """
 
     def __init__(self) -> None:
         self._count = 0  # id the next added node must carry
-        self._width = 0  # live-ancestry columns in use
-        self._rows: dict[int, int] = {}  # tracked node -> row; rows are dense
+        self._width = 0  # depth columns in use
+        self._pruned = 0  # width after the last prune
+        self._rows: dict[int, int] = {}  # tracked node -> its row
+        self._free = list(range(15))  # rows to give newborns
         self._depth = np.empty(16, dtype=np.int64)  # row -> its node's depth
-        self._near = np.empty((16, 16), dtype=np.int32)  # row x row
-        self._dist = np.full((16, 64), _UNREACHED, dtype=np.int32)  # row x column
+        # Row x (near over 16 rows, then 64 depth columns).  The last row and
+        # column reach nothing: they stand in for a genesis child's parents.
+        self._state = np.full((16, 16 + 64), _UNREACHED, dtype=np.int32)
         self._nodes = np.empty(64, dtype=np.int64)  # column -> node id
+        self._table, self._table_nodes = np.empty((0, 0)), []  # gdist among tracked nodes
 
     @classmethod
     def from_graph(cls, graph: GenealogyGraph) -> "AncestryIndex":
-        """Build an index tracking every node already recorded in ``graph``."""
-        index = cls()
+        """Track every node of ``graph``, in batches whose parents precede them."""
+        index, batch = cls(), []
         for node in graph.nodes():
-            index.add(node, graph.parents(node))
+            parents = graph.parents(node)
+            if batch and max(parents, default=-1) >= batch[0][0]:
+                index.add_births(batch)
+                batch = []
+            batch.append((node, parents))
+        index.add_births(batch)
         return index
 
     def __contains__(self, node: int) -> bool:
         return node in self._rows
 
-    def live_ancestry(self) -> list[int]:
-        """Node ids of the columns: every ancestor of a tracked node, in birth order."""
+    def column_nodes(self) -> list[int]:
+        """Node ids of the depth columns, in birth order."""
         return self._nodes[: self._width].tolist()
 
-    def _reserve(self, rows: int, cols: int) -> None:
-        """Double the storage along each axis that is shorter than asked."""
-        old_rows, old_cols = self._dist.shape
-        if rows <= old_rows and cols <= old_cols:
+    def _reserve(self, births: int, cols: int) -> None:
+        """Grow the storage, doubling, to give ``births`` newborns a row and
+        to hold ``cols`` depth columns, with the last row and column spare."""
+        rows, short, width = len(self._state), births - len(self._free), self._width
+        if short <= 0 and cols < len(self._nodes):
             return
-        new_rows = 2 * old_rows if rows > old_rows else old_rows
-        new_cols = 2 * old_cols if cols > old_cols else old_cols
-        used = len(self._rows)
-        dist = np.full((new_rows, new_cols), _UNREACHED, dtype=np.int32)
-        dist[:used, : self._width] = self._dist[:used, : self._width]
-        self._dist = dist
-        if new_rows > old_rows:
-            near = np.empty((new_rows, new_rows), dtype=np.int32)
-            near[:used, :used] = self._near[:used, :used]
-            self._near = near
-            self._depth = np.resize(self._depth, new_rows)
-        self._nodes = np.resize(self._nodes, new_cols)
+        new_rows = rows if short <= 0 else max(2 * rows, rows + short)
+        if cols >= len(self._nodes):
+            self._nodes = np.resize(self._nodes, max(2 * len(self._nodes), cols + 1))
+        state = np.full((new_rows, new_rows + len(self._nodes)), _UNREACHED, dtype=np.int32)
+        state[:rows, :rows] = self._state[:, :rows]
+        state[:rows, new_rows : new_rows + width] = self._state[:, rows : rows + width]
+        self._state, self._depth = state, np.resize(self._depth, new_rows)
+        self._free += range(rows - 1, new_rows - 1)
 
     def add(self, node: int, parents: tuple[int, ...]) -> None:
-        """Track a newly born node of at most two parents (ids must arrive in
-        birth order)."""
-        if node != self._count:
-            raise ValueError(f"expected node id {self._count} next, got {node}")
-        if len(parents) > 2:
-            raise ValueError(f"a birth takes at most 2 parents, got {len(parents)}")
-        parent_rows = []
-        for p in parents:
-            if p not in self._rows:
-                raise KeyError(f"parent {p} is no longer tracked")
-            parent_rows.append(self._rows[p])
-        row, col = len(self._rows), self._width
-        self._reserve(row + 1, col + 1)
-        dist, near = self._dist, self._near
-        vec = dist[row, : col + 1]
-        if not parent_rows:
-            vec[:col] = _UNREACHED
-            near[row, :row] = _UNREACHED
-            near[:row, row] = _UNREACHED
-        else:
-            # A mutant is its own second parent: min(x, x) == x.
-            p, q = parent_rows[0], parent_rows[-1]
-            np.minimum(dist[p, :col], dist[q, :col], out=vec[:col])
-            vec[:col] += 1
-            np.minimum(near[p, :row], near[q, :row], out=near[row, :row])
-            near[row, :row] += 1
-            np.minimum(near[:row, p], near[:row, q], out=near[:row, row])
-        vec[col] = 0
-        near[row, row] = 0
-        self._depth[row] = np.where(vec < _UNREACHED, vec, 0).max()
-        self._rows[node] = row
-        self._nodes[col] = node
-        self._width += 1
-        self._count += 1
+        """Track one newborn node: the one-birth case of :meth:`add_births`."""
+        self.add_births([(node, parents)])
+
+    def add_births(self, births) -> None:
+        """Track a batch of newborn ``(node, parents)``: ids in birth order, at
+        most two parents each, every parent tracked before the batch.  A
+        rejected batch changes nothing."""
+        births, rows, pairs = list(births), self._rows, []
+        for expected, (node, parents) in enumerate(births, self._count):
+            if node != expected:
+                raise ValueError(f"expected node id {expected} next, got {node}")
+            if len(parents) > 2:
+                raise ValueError(f"a birth takes at most 2 parents, got {len(parents)}")
+            try:  # a mutant is its own second parent: min(x, x) == x
+                pairs += (rows[parents[0]], rows[parents[-1]]) if parents else (-1, -1)
+            except KeyError as missing:
+                raise KeyError(f"parent {missing.args[0]} is not tracked") from None
+        w, b = self._width, len(births)
+        self._reserve(b, w + b)
+        state, base, free = self._state, len(self._state), self._free[:b]
+        new, at = np.array(free, dtype=np.intp), np.arange(b)
+        del self._free[:b]
+        p, q = np.array(pairs, dtype=np.intp).reshape(b, 2).T
+        child = np.minimum(state[p], state[q]) + 1
+        child[at, at + (base + w)] = 0  # each child's own depth column
+        state[new] = child
+        state[:, new] = np.minimum(state[:, p], state[:, q])
+        state[new, new] = 0
+        cols = child[:, base : base + w + b]
+        self._depth[new] = cols.max(axis=1, initial=0, where=cols < _UNREACHED)
+        nodes = [node for node, _ in births]
+        rows.update(zip(nodes, free))
+        self._nodes[w : w + b] = nodes
+        self._width, self._count = w + b, self._count + b
 
     def depth(self, node: int) -> int:
         return int(self._depth[self._rows[node]])
 
-    def _gdist_rows(self, ra, rb):
-        """``gdist`` between the nodes of rows ``ra`` and ``rb`` (scalars or
-        arrays that broadcast together)."""
-        near, depth = self._near, self._depth
+    def _gdist_table(self, rows) -> np.ndarray:
+        """``gdist`` between the nodes of every pair of ``rows``."""
+        r = np.asarray(rows, dtype=np.intp)
+        near, depth = self._state[r[:, None], r], self._depth[r]
         # A real numerator never exceeds the larger depth, and an _UNREACHED
         # one always does, so clamping at 1 gives 1.0 exactly to pairs without
         # a common ancestor.  Depth 0 means genesis, whose only common
         # ancestor is itself, so a zero denominator can be read as 1.
-        g = np.minimum(near[ra, rb], near[rb, ra]) / np.maximum(
-            np.maximum(depth[ra], depth[rb]), 1
-        )
-        return np.minimum(g, 1.0)
+        g = np.minimum(near, near.T) / np.maximum(np.maximum(depth[:, None], depth), 1)
+        return np.minimum(g, 1.0, out=g)
 
     def gdist(self, a: int, b: int) -> float:
         """Same contract as :meth:`GenealogyGraph.gdist`, for tracked nodes."""
-        return float(self._gdist_rows(self._rows[a], self._rows[b]))
+        return float(self._gdist_table([self._rows[a], self._rows[b]])[0, 1])
 
     def gdist_among(self, nodes) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``read(a, b)``: ``gdist(nodes[a], nodes[b])`` for integer index
-        arrays ``a`` and ``b`` that broadcast together, derived from two
-        closeness entries and two depths per pair.  Valid until the next
-        :meth:`retain`; births in between do not disturb it."""
-        rows = np.array([self._rows[x] for x in nodes], dtype=np.intp)
-        return lambda a, b: self._gdist_rows(rows[a], rows[b])
+        arrays ``a`` and ``b`` that broadcast together, read from a table.
+
+        The index keeps the last table it built, and :meth:`retain` cuts it
+        to the survivors' slice; a new table is built only for other nodes.
+        The entries of tracked nodes never change, so a reader outlives
+        births and retains."""
+        nodes = list(nodes)
+        if nodes != self._table_nodes:
+            self._table = self._gdist_table([self._rows[x] for x in nodes])
+            self._table_nodes = nodes
+        table = self._table
+        return lambda a, b: table[a, b]
 
     def retain(self, alive) -> None:
         """Drop every node not listed in ``alive``, then every column that no
-        remaining node descends from."""
-        kept = [n for n in dict.fromkeys(alive) if n in self._rows]
-        rows = np.array([self._rows[n] for n in kept], dtype=np.intp)
-        m, width, dist = len(kept), self._width, self._dist
-        live = dist[rows, :width]
+        remaining node reaches and, once the width has doubled since the last
+        prune, every covered column."""
+        old = self._rows
+        self._rows = {n: old[n] for n in alive if n in old}  # a repeat keeps its place
+        self._free += [r for n, r in old.items() if n not in self._rows]
+        kept, m, width, state = list(self._rows), len(self._rows), self._width, self._state
+        rows, base = np.array(list(self._rows.values()), dtype=np.intp), len(state)
+        live = state[rows, base : base + width]
         keep = live.min(axis=0, initial=_UNREACHED) < _UNREACHED
-        # Columns before the first dropped one keep their place; in a typical
-        # generation that is nearly all of them.
-        first = width if keep.all() else int(np.argmin(keep))
-        tail = keep[first:]
-        new_width = first + int(np.count_nonzero(tail))
-        dist[:m, :first] = live[:, :first]
-        dist[:m, first:new_width] = live[:, first:][:, tail]
-        dist[:, new_width:width] = _UNREACHED
-        self._nodes[first:new_width] = self._nodes[first:width][tail]
-        self._near[:m, :m] = self._near.take(rows, 0).take(rows, 1)
-        self._depth[:m] = self._depth[rows]
-        self._rows = dict(zip(kept, range(m)))
+        if m and width >= 2 * self._pruned:
+            keep &= ~_covered(np.minimum(live, _UNREACHED))
+            self._pruned = int(np.count_nonzero(keep))
+        cols = np.flatnonzero(keep)
+        new_width = len(cols)
+        state[rows, base : base + new_width] = live[:, cols]
+        state[:, base + new_width : base + width] = _UNREACHED
+        self._nodes[:new_width] = self._nodes[cols]
         self._width = new_width
+        slots = {n: i for i, n in enumerate(self._table_nodes)}
+        at = np.array([slots[n] for n in kept if n in slots], dtype=np.intp)
+        if len(at) < m:  # the table misses a survivor: drop it
+            at, kept = at[:0], []
+        self._table, self._table_nodes = self._table[at[:, None], at], kept
+
+
+def _covered(live: np.ndarray) -> np.ndarray:
+    """Mask of the columns of ``live`` (unreached entries exactly ``_UNREACHED``)
+    that another covers, and of equal columns all but the earliest.  A column
+    ``<=`` another reaches all its rows, so the same rows if as many."""
+    reached = np.count_nonzero(live < _UNREACHED, axis=0)
+    c, d = np.nonzero(reached[:, None] == reached)
+    lc, ld = live[:, c], live[:, d]
+    covered = np.zeros(live.shape[1], dtype=bool)
+    covered[c[(lc <= ld).all(axis=0) & ((d < c) | (lc != ld).any(axis=0))]] = True
+    return covered

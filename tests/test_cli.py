@@ -165,6 +165,11 @@ def test_grid_tells_close_weights_apart(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--metric", "trash_bits", "--out", str(out)]) == 0
     assert len((out / "grid_trash_bits.csv").read_text().splitlines()) == 1 + 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["lambda=0.1", "lambda=0.1000001"]
+    # The two means tie, so the smaller weight wins, named by its repr.
+    assert lines[0].split()[1:] == lines[1].split()[1:]
+    assert lines[2] == "best lambda for trash_bits: 0.1"
 
 
 def test_grid_rejects_none_metric(tmp_path, capsys):

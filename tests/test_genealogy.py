@@ -380,19 +380,22 @@ def test_ancestry_index_grows_past_initial_allocation():
         else:
             parents = tuple(int(p) for p in rng.choice(i, size=2, replace=False))
         index.add(g.record_birth(parents, i), parents)
-    assert index.live_ancestry() == list(range(300))
+    assert index.column_nodes() == list(range(300))
     for _ in range(200):
         a, b = (int(v) for v in rng.integers(300, size=2))
         assert index.gdist(a, b) == g.gdist(a, b)
         assert index.depth(a) == g.depth(a)
 
 
-def _evolving_index(rng, generations, size=8, before_retain=None):
+def _evolving_index(rng, generations, size=8, before_retain=None, batched=False):
     """Random births from a fixed-size population, ``retain`` after each
     generation; yields the graph, the index and the survivors each time.
 
     ``before_retain(graph, index, pool)``, when given, sees each generation's
     whole pool (survivors, newborns and their siblings) before ``retain``.
+    With ``batched`` each generation's births (genesis, mutant and crossover
+    children mixed) reach the index in one ``add_births`` call, else one
+    ``add`` call each.  The draws do not depend on it.
     """
     g = GenealogyGraph()
     index = AncestryIndex()
@@ -402,6 +405,7 @@ def _evolving_index(rng, generations, size=8, before_retain=None):
         index.add(alive[-1], ())
     for gen in range(1, generations + 1):
         pool = list(alive)
+        births = []
         for _ in range(int(rng.integers(1, 2 * size))):
             roll = rng.random()
             if roll < 0.1:
@@ -412,7 +416,11 @@ def _evolving_index(rng, generations, size=8, before_retain=None):
                 i, j = rng.choice(size, size=2, replace=False)
                 parents = (alive[int(i)], alive[int(j)])
             pool.append(g.record_birth(parents, gen))
-            index.add(pool[-1], parents)
+            births.append((pool[-1], parents))
+            if not batched:
+                index.add(pool[-1], parents)
+        if batched:
+            index.add_births(births)
         if before_retain is not None:
             before_retain(g, index, pool)
         alive = sorted(int(n) for n in rng.choice(pool, size=size, replace=False))
@@ -461,21 +469,96 @@ def test_ancestry_index_reader_outlives_storage_growth():
                 parents = tuple(alive[int(i)] for i in rng.choice(len(alive), 2, replace=False))
             pool.append(g.record_birth(parents, gen))
             index.add(pool[-1], parents)
-            sizes.add(index._near.shape[0])
+            sizes.add(index._state.shape[0])
             assert read(r[:, None], r).tolist() == expected
         alive = sorted(int(n) for n in rng.choice(pool, len(alive), replace=False))
         index.retain(alive)
     assert sizes == {16, 32, 64}
 
 
-def test_ancestry_index_columns_are_the_live_ancestry():
+def _reaches(g, alive):
+    """``{ancestor: {alive node: adist}}`` over every ancestor of ``alive``."""
+    reach = {}
+    for x in alive:
+        for a, d in g.ancestor_distances(x).items():
+            reach.setdefault(a, {})[x] = d
+    return reach
+
+
+def test_ancestry_index_keeps_live_columns_and_drops_only_covered_ones():
+    # A kept column is an ancestor of a survivor.  A dropped ancestor is
+    # covered by a kept column: the same survivors descend from both, each
+    # at least as far from the kept one, so it can never set a depth.
     rng = np.random.default_rng(17)
-    for g, index, alive in _evolving_index(rng, generations=60):
-        ancestry = set()
-        for x in alive:
-            ancestry.update(g.ancestor_distances(x))
-        assert index.live_ancestry() == sorted(ancestry)
-    assert len(ancestry) < len(g)  # compaction did drop columns
+    dropped = 0
+    for g, index, alive in _evolving_index(rng, generations=60, batched=True):
+        reach = _reaches(g, alive)
+        kept = index.column_nodes()
+        assert set(kept) <= set(reach)
+        for c in set(reach) - set(kept):
+            dropped += 1
+            assert any(
+                reach[d].keys() == reach[c].keys()
+                and all(reach[d][x] >= reach[c][x] for x in reach[c])
+                for d in kept
+            ), c
+    assert dropped > 0
+
+
+def test_ancestry_index_columns_stay_flat():
+    # Twenty survivors a generation, births straight into the index: the live
+    # ancestry grows with the horizon, the kept columns do not.
+    rng = np.random.default_rng(21)
+    for gen, (g, index, alive) in enumerate(
+        _evolving_index(rng, generations=5000, size=20, batched=True), 1
+    ):
+        if gen in (1000, 5000):
+            assert len(index.column_nodes()) <= 100
+        if gen == 1000:
+            assert len(_reaches(g, alive)) > 1000
+
+
+def test_batched_births_equal_single_births_and_the_graph():
+    kinds_in_one_batch = []
+
+    def check(g, index, pool):
+        _check_every_pair(g, index, pool)
+        newest = max(map(g.birth_generation, pool))
+        kinds_in_one_batch.append({g.kind(x) for x in pool if g.birth_generation(x) == newest})
+
+    runs = [
+        _evolving_index(np.random.default_rng(19), 50, before_retain=check, batched=batched)
+        for batched in (False, True)
+    ]
+    for (g, single, alive), (_, batched, same_alive) in zip(*runs):
+        assert same_alive == alive
+        r = np.arange(len(alive))
+        block = (r[:, None], r)
+        assert batched.gdist_among(alive)(*block).tolist() == single.gdist_among(alive)(*block).tolist()
+        _check_every_pair(g, batched, alive)
+    assert set(OpKind) in kinds_in_one_batch
+
+
+@pytest.mark.parametrize(
+    "births, error, message",
+    [
+        ([(3, (0,)), (4, (9,))], KeyError, "parent 9 is not tracked"),
+        ([(3, (0,)), (4, (3,))], KeyError, "parent 3 is not tracked"),  # born in the batch
+        ([(3, (0,)), (4, (0, 1, 2))], ValueError, "a birth takes at most 2 parents, got 3"),
+        ([(3, (0,)), (5, (1,))], ValueError, "expected node id 4 next, got 5"),
+    ],
+    ids=["untracked", "same-batch", "third-parent", "out-of-order"],
+)
+def test_add_births_rejects_a_batch_before_changing_anything(births, error, message):
+    g = siblings()
+    index = AncestryIndex.from_graph(g)
+    with pytest.raises(error) as err:
+        index.add_births(births)
+    assert err.value.args == (message,)
+    assert 3 not in index and index.column_nodes() == [0, 1, 2]
+    batch = [(g.record_birth(()), ()), (g.record_birth((1, 2)), (1, 2)), (g.record_birth((0,)), (0,))]
+    index.add_births(batch)
+    _check_every_pair(g, index, list(g.nodes()))
 
 
 def test_ancestry_index_retain_keeps_alive_queries_working():
@@ -492,18 +575,28 @@ def test_ancestry_index_retain_keeps_alive_queries_working():
 def test_ancestry_index_dropped_node_raises_key_error():
     g = siblings()
     index = AncestryIndex.from_graph(g)
+    index.gdist_among([0, 1])  # a table that misses survivor 2 is not kept
     index.retain([1, 2])
-    assert index.live_ancestry() == [0, 1, 2]  # 0 is dropped as a node, kept as a column
+    assert index.column_nodes() == [0, 1, 2]  # 0 is dropped as a node, kept as a column
     for query in (
         lambda: index.gdist(0, 1),
         lambda: index.gdist(1, 0),
         lambda: index.gdist(0, 0),
+        lambda: index.gdist_among([0, 1]),
         lambda: index.gdist_among([0, 1, 2]),
         lambda: index.gdist_among([1, 2, 0]),
         lambda: index.depth(0),
     ):
         with pytest.raises(KeyError):
             query()
+
+
+def test_ancestry_index_takes_an_empty_batch():
+    index = AncestryIndex.from_graph(GenealogyGraph())
+    index.add_births([])
+    index.retain([])
+    index.add(0, ())
+    assert index.column_nodes() == [0] and index.depth(0) == 0
 
 
 def test_ancestry_index_rejects_dropped_parent():
