@@ -15,7 +15,7 @@ Three interchangeable distance metrics are provided:
 list of members to a reader of their distances.  A domain or marker reader
 computes only the pairs its index arrays select, so scoring a pool of ``M``
 members against ``k`` peers each costs ``M * k`` pairs at any population
-size; the genealogical reader reads a table the index builds once per pool.
+size; the genealogical reader reads a table the index builds for it.
 
 With the ``none`` kind or a zero weight shaping is inert: the engine then
 passes no reader, and ``augmented_fitness(..., distances=None)`` returns the
@@ -25,7 +25,7 @@ raw fitness and draws no peers (see :mod:`genediv.engine`).
 their peer sets in one plan (:func:`draw_peer_sets`), which consumes the
 random stream exactly as one :func:`draw_distinct_indices` call per member
 would, and reads their distances in one call of the pool's reader, which the
-caller makes once per pool and reuses.
+engine builds once per generation.
 The stream order, and so every result, is the same as one call per member.
 
 Every float sum that reaches an output is taken by :func:`sum_left`.
@@ -99,7 +99,9 @@ DistanceFn = Callable[[Sequence], DistanceReader]
 integer index arrays ``a`` and ``b`` that broadcast together, shaped like
 their broadcast: ``read(r[:, None], r)`` is the block over ``r`` and
 ``read(rows[:, None], peers)`` each row's peers.  Only the selected pairs are
-computed, from arrays gathered once per reader.
+computed, from arrays gathered once per reader, so a reader stays valid when
+the members, or the ancestry index, change later.  A subset ``members[i]``,
+``i`` in ``keep``, is read through a view: ``read(keep[a], keep[b])``.
 """
 
 

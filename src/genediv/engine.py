@@ -34,13 +34,14 @@ then the marker operator, and recording and evaluating the child draw
 nothing.  A tournament scores its candidates together and the pool is
 scored at once, each in one :func:`~genediv.diversity.augmented_fitness`
 call whose peer plan consumes the stream exactly as one draw per member
-would, so the order above holds.  The distances are read through one reader
-per list of members: the population's for the tournaments and the pool's for
-truncation; each read computes only the peer distances it selects and draws
-nothing.  A genealogical run's ancestry index takes each generation's births
-in one update, after the immigrants and before the pool is scored, and draws
-nothing.  Shaping with the ``none`` kind or a zero weight is inert: there is
-no reader, so :func:`~genediv.diversity.augmented_fitness` returns the raw
+would, so the order above holds.  A generation builds one distance reader,
+the pool's, when the kind has a metric; its view of the survivors serves the
+trace probe and the next generation's tournaments.  Each read computes only
+the peer distances it selects and draws nothing.  A genealogical run's
+ancestry index takes each generation's births in one update, after the
+immigrants and before the pool's reader is built, and draws nothing.
+Shaping with the ``none`` kind or a zero weight is inert: no reader is
+passed, so :func:`~genediv.diversity.augmented_fitness` returns the raw
 fitness and draws no peers.  The probe indices, in contrast, are drawn for
 every metric kind -- including ``none`` -- so runs that differ only in an
 inert diversity setting replay the exact same evolution.
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,12 +204,12 @@ def initialize(
 
 
 def _ranked(
-    scores: list[float], members: list[Individual]
-) -> Iterator[tuple[float, int, Individual]]:
-    """``(-score, node, member)`` per member, so that the tuples' order is
-    the selection order: highest score first, ties to the smaller (older)
-    node id.  Node ids are unique, so members are never compared."""
-    return zip([-s for s in scores], [m.node for m in members], members)
+    scores: list[float], members: list[Individual], at: Sequence[int]
+) -> Iterator[tuple[float, int, int]]:
+    """``(-score, node, i)`` per position ``i`` of ``at`` in ``members``, with
+    ``scores`` in ``at``'s order, so that the tuples' order is the selection
+    order: highest score first, ties to the smaller (older) node id."""
+    return zip([-s for s in scores], [members[i].node for i in at], at)
 
 
 def tournament_select(
@@ -231,7 +232,7 @@ def tournament_select(
         raise ValueError(f"a tournament needs a population of 2 or more, got {n}")
     candidates = [j + (j >= i) for j in draw_distinct_indices(rng, n - 1, min(k, n - 1))]
     scores = augmented_fitness(population, candidates, config, rng, distances)
-    return min(_ranked(scores, [population[j] for j in candidates]))[2]
+    return population[min(_ranked(scores, population, candidates))[2]]
 
 
 def step_generation(
@@ -242,30 +243,33 @@ def step_generation(
     rng: np.random.Generator,
     *,
     generation: int = 0,
+    distances: DistanceReader | None = None,
     ancestry_index: AncestryIndex | None = None,
     registry: dict[int, Individual] | None = None,
-) -> list[Individual]:
-    """Advance one generation and return the new population.
+) -> tuple[list[Individual], DistanceReader | None]:
+    """Advance one generation; return the survivors and their reader.
 
-    ``generation`` stamps the birth generation of every child created here.
-    ``ancestry_index``, when given, takes this generation's births in one
-    call before the pool is scored (``retain`` the survivors afterwards);
-    genealogical shaping reads its distances there, so it needs one.
-    ``registry`` collects every individual ever created, for offline analysis.
+    ``distances`` is the population's reader (the previous step's survivors'
+    reader), which a shaped step's tournaments read.  ``generation`` stamps
+    the birth generation of every child created here.  ``ancestry_index``,
+    when given, takes this generation's births in one call before the pool's
+    reader is built (``retain`` the survivors afterwards); the genealogical
+    metric needs one.  ``registry`` collects every individual ever created.
 
-    Shaped fitness takes one :func:`augmented_fitness` call per tournament,
-    for all its candidates, and one for the whole pool.  The population's
-    distance reader is made once for every tournament and the pool's once
-    for truncation; each read computes only the peer distances it selects.
+    The one reader built here is the pool's, when the kind has a metric; the
+    survivors' is its view ``read(keep[a], keep[b])``, ``keep`` holding their
+    pool positions.  Shaped fitness takes one :func:`augmented_fitness` call
+    per tournament, for all its candidates, and one for the whole pool.
     """
     n = len(population)
     if n != config.population_size:
         raise ValueError(f"expected population of {config.population_size}, got {n}")
     div = config.diversity
-    # With the none kind or a zero weight there is no distance function, so
-    # each ``distance_fn and distance_fn(...)`` is None and shaping is inert.
-    distance_fn = make_distance_fn(div.kind, ancestry_index) if div.weight != 0.0 else None
-    population_distances = distance_fn and distance_fn(population)
+    distance_fn = make_distance_fn(div.kind, ancestry_index)
+    # With a zero weight shaping is inert, so no reader is passed to it.
+    shaped = distance_fn is not None and div.weight != 0.0
+    if shaped and distances is None:
+        raise ValueError("a shaped step needs the population's distance reader")
 
     spawn = _spawner(graph, problem, rng, config.tau, generation, registry)
     offspring: list[Individual] = []
@@ -279,7 +283,7 @@ def step_generation(
     for i in range(n):
         if gates[i] and n > 1:
             partner = tournament_select(
-                population, i, config.tournament_size, div, rng, population_distances
+                population, i, config.tournament_size, div, rng, distances if shaped else None
             )
             offspring.append(spawn(population[i], partner))
 
@@ -289,31 +293,34 @@ def step_generation(
         ancestry_index.add_births((c.node, graph.parents(c.node)) for c in offspring)
 
     pool = population + offspring
-    scores = augmented_fitness(pool, range(len(pool)), div, rng, distance_fn and distance_fn(pool))
-    return [ind for _, _, ind in sorted(_ranked(scores, pool))[: config.population_size]]
+    read = distance_fn and distance_fn(pool)
+    scores = augmented_fitness(pool, range(len(pool)), div, rng, read if shaped else None)
+    ranked = sorted(_ranked(scores, pool, range(len(pool))))[: config.population_size]
+    keep = np.array([i for _, _, i in ranked], dtype=np.intp)
+    return [pool[i] for i in keep], read and (lambda a, b: read(keep[a], keep[b]))
 
 
 def _trace_row(
     generation: int,
     population: list[Individual],
-    distance_fn,
+    distances: DistanceReader | None,
     rng: np.random.Generator,
 ) -> TraceRow:
     """Raw-fitness statistics of ``population`` and its mean pairwise
-    distance over a small random probe (0.0 without a metric).
+    distance over a small random probe (0.0 without a reader).
 
     The probe indices are drawn for every metric kind, so the stream never
     depends on it.
     """
     raw = [ind.raw_fitness for ind in population]
-    best = min(_ranked(raw, population))[2]
+    best = population[min(_ranked(raw, population, range(len(population))))[2]]
     k = min(PROBE_SIZE, len(population))
     probe = np.asarray(draw_distinct_indices(rng, len(population), k))
     diversity = 0.0
-    if distance_fn is not None and k > 1:
-        distances = distance_fn(population)(probe[:, None], probe).tolist()
+    if distances is not None and k > 1:
+        read = distances(probe[:, None], probe).tolist()
         pairs = list(itertools.combinations(range(k), 2))
-        diversity = sum_left(distances[a][b] for a, b in pairs) / len(pairs)
+        diversity = sum_left(read[a][b] for a, b in pairs) / len(pairs)
     return TraceRow(
         generation=generation,
         mean_raw_fitness=sum_left(raw) / len(population),
@@ -344,19 +351,21 @@ def run_evolution(
         index = AncestryIndex.from_graph(graph)
     registry = {ind.node: ind for ind in population} if keep_all else None
     distance_fn = make_distance_fn(config.diversity.kind, index)
+    distances = distance_fn and distance_fn(population)
     trace: list[TraceRow] = []
     for gen in range(1, config.generations + 1):
-        population = step_generation(
+        population, distances = step_generation(
             population,
             graph,
             config,
             problem,
             rng,
             generation=gen,
+            distances=distances,
             ancestry_index=index,
             registry=registry,
         )
         if index is not None:
             index.retain(ind.node for ind in population)
-        trace.append(_trace_row(gen, population, distance_fn, rng))
+        trace.append(_trace_row(gen, population, distances, rng))
     return RunResult(trace=trace, graph=graph, population=population, individuals=registry)

@@ -32,6 +32,7 @@ byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +85,8 @@ class ExperimentSpec:
             raise ValueError(f"variant names must be unique, got {names}")
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
+        if not all(isinstance(s, numbers.Integral) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be integers >= 0, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be unique, got {self.seeds}")
 
@@ -107,7 +110,7 @@ def _usable_cpus() -> int:
 def _worker_count(jobs: int | None, runs: int, cpus: int) -> int:
     """Workers for ``runs`` independent runs: ``jobs`` (default: one per
     CPU), never more than ``cpus`` or ``runs``."""
-    if jobs is not None and jobs < 1:
+    if jobs is not None and not (isinstance(jobs, numbers.Integral) and jobs >= 1):
         raise ConfigError("jobs", f"expected an integer >= 1, got {jobs}")
     return min(cpus if jobs is None else jobs, cpus, runs)
 

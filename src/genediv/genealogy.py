@@ -23,7 +23,7 @@ On top of the raw graph this module provides:
   alive.  It keeps, for every pair of them, how close their nearest common
   ancestor sits, and each one's depth, computed for a whole batch of births
   (a generation's) from the parents' entries; ``gdist`` follows in O(1) per
-  pair, read from one table per list of individuals.  Ancestor distances
+  pair, read from a table built per list of individuals.  Ancestor distances
   over pruned *depth columns* (ancestors that can still set a depth) serve
   only to compute newborns' depths.  Memory and the cost of a generation
   are bounded by the living individuals and their distinct lineages rather
@@ -56,6 +56,7 @@ class OpKind(Enum):
 
 
 _KINDS = tuple(OpKind)  # indexed by parent count: 0, 1 or 2
+_ARITY = {kind.value: count for count, kind in enumerate(_KINDS)}  # name -> parent count
 
 
 class GenealogyGraph:
@@ -110,21 +111,21 @@ class GenealogyGraph:
     # distance queries
     # ------------------------------------------------------------------
 
-    def ancestor_distances(self, node: int) -> dict[int, int]:
+    def ancestor_distances(self, node: int, _least: int = 0) -> dict[int, int]:
         """Map every ancestor of ``node`` (including itself) to its ``adist``.
 
         Breadth-first search over parent edges; because edges shorten ids,
         this visits each ancestor once.  The map lists ancestors in the
-        order visited, so their ``adist`` never decreases along it.
+        order visited, so their ``adist`` never decreases along it.  Ids
+        below ``_least`` are not searched, nor are their ancestors.
         """
         node = self._check(node)
         dist = {node: 0}
-        queue = deque((node,))
-        while queue:
-            cur = queue.popleft()
+        queue = [node]  # a for loop reads what is appended during it
+        for cur in queue:
             d = dist[cur] + 1
             for p in self._parents[cur]:
-                if p not in dist:
+                if p >= _least and p not in dist:
                     dist[p] = d
                     queue.append(p)
         return dist
@@ -136,23 +137,8 @@ class GenealogyGraph:
         an ancestor of ``x2``.
         """
         x1 = self._check(x1)
-        x2 = self._check(x2)
-        if x1 == x2:
-            return 0
-        if x1 > x2:
-            return INFINITE  # ancestors always carry smaller ids
-        dist = {x2: 0}
-        queue = deque((x2,))
-        while queue:
-            cur = queue.popleft()
-            d = dist[cur] + 1
-            for p in self._parents[cur]:
-                if p == x1:
-                    return d
-                if p > x1 and p not in dist:
-                    dist[p] = d
-                    queue.append(p)
-        return INFINITE
+        # Ancestors always carry smaller ids, so none below x1 leads to it.
+        return self.ancestor_distances(x2, x1).get(x1, INFINITE)
 
     def _closest_common(self, x1: int, x2: int) -> tuple[int | None, int | None, int]:
         """``(closeness, node, depth)``: the common ancestor closest to either
@@ -269,8 +255,8 @@ def write_genealogy_log(graph: GenealogyGraph, path: str | Path) -> None:
 def read_genealogy_log(path: str | Path) -> GenealogyGraph:
     """Rebuild a graph from the format produced by :func:`write_genealogy_log`.
 
-    Each line is parsed, its ``op_kind`` checked against its parent count and
-    its id against its position, then recorded with
+    Each line is parsed, its ``op_kind`` name checked, its id against its
+    position and its parent count against the name, then recorded with
     :meth:`GenealogyGraph.record_birth`, which checks its parents.
     """
     graph = GenealogyGraph()
@@ -288,15 +274,12 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer field ({exc})") from None
         name, count, n = fields[2], len(parents), len(graph)
-        if count > 2 or name != _KINDS[count].value:
-            # Checked in order: the name, then the id, then the parent count.
-            named = [arity for arity, kind in enumerate(_KINDS) if kind.value == name]
-            if not named:
-                raise ValueError(f"line {lineno}: unknown op kind {name!r}")
-            if node == n:
-                raise ValueError(f"line {lineno}: {name} takes {named[0]} parent(s), got {count}")
+        if name not in _ARITY:
+            raise ValueError(f"line {lineno}: unknown op kind {name!r}")
         if node != n:
             raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
+        if count != _ARITY[name]:
+            raise ValueError(f"line {lineno}: {name} takes {_ARITY[name]} parent(s), got {count}")
         try:
             graph.record_birth(parents, generation)
         except KeyError as exc:
@@ -351,10 +334,9 @@ class AncestryIndex:
     column never sets a depth, and the width stays flat over the horizon.
 
     *Costs.*  A batch of ``b`` births costs O(b · (tracked + columns)),
-    ``retain`` O(tracked · columns), a prune O(columns² · tracked) at most.
-    :meth:`gdist_among` builds a table of its nodes' distances, which
-    ``retain`` cuts to the survivors: a generation builds one, for its pool.
-    Memory is bounded by the tracked nodes and columns, not by the horizon.
+    ``retain`` O(tracked · columns), a prune O(columns² · tracked) at most,
+    and :meth:`gdist_among` O(nodes²) for its table.  Memory is bounded by
+    the tracked nodes and columns, not by the horizon.
     """
 
     def __init__(self) -> None:
@@ -368,7 +350,6 @@ class AncestryIndex:
         # column reach nothing: they stand in for a genesis child's parents.
         self._state = np.full((16, 16 + 64), _UNREACHED, dtype=np.int32)
         self._nodes = np.empty(64, dtype=np.int64)  # column -> node id
-        self._table, self._table_nodes = np.empty((0, 0)), []  # gdist among tracked nodes
 
     @classmethod
     def from_graph(cls, graph: GenealogyGraph) -> "AncestryIndex":
@@ -461,17 +442,10 @@ class AncestryIndex:
 
     def gdist_among(self, nodes) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``read(a, b)``: ``gdist(nodes[a], nodes[b])`` for integer index
-        arrays ``a`` and ``b`` that broadcast together, read from a table.
-
-        The index keeps the last table it built, and :meth:`retain` cuts it
-        to the survivors' slice; a new table is built only for other nodes.
-        The entries of tracked nodes never change, so a reader outlives
-        births and retains."""
-        nodes = list(nodes)
-        if nodes != self._table_nodes:
-            self._table = self._gdist_table([self._rows[x] for x in nodes])
-            self._table_nodes = nodes
-        table = self._table
+        arrays ``a`` and ``b`` that broadcast together, read from a table
+        built here.  The table is the reader's own array, so the reader
+        outlives later births and retains."""
+        table = self._gdist_table([self._rows[x] for x in nodes])
         return lambda a, b: table[a, b]
 
     def retain(self, alive) -> None:
@@ -481,7 +455,7 @@ class AncestryIndex:
         old = self._rows
         self._rows = {n: old[n] for n in alive if n in old}  # a repeat keeps its place
         self._free += [r for n, r in old.items() if n not in self._rows]
-        kept, m, width, state = list(self._rows), len(self._rows), self._width, self._state
+        m, width, state = len(self._rows), self._width, self._state
         rows, base = np.array(list(self._rows.values()), dtype=np.intp), len(state)
         live = state[rows, base : base + width]
         keep = live.min(axis=0, initial=_UNREACHED) < _UNREACHED
@@ -494,11 +468,6 @@ class AncestryIndex:
         state[:, base + new_width : base + width] = _UNREACHED
         self._nodes[:new_width] = self._nodes[cols]
         self._width = new_width
-        slots = {n: i for i, n in enumerate(self._table_nodes)}
-        at = np.array([slots[n] for n in kept if n in slots], dtype=np.intp)
-        if len(at) < m:  # the table misses a survivor: drop it
-            at, kept = at[:0], []
-        self._table, self._table_nodes = self._table[at[:, None], at], kept
 
 
 def _covered(live: np.ndarray) -> np.ndarray:

@@ -162,42 +162,49 @@ def test_make_distance_fn_requires_genealogy_source():
 def test_distance_matrices_match_pairwise_metrics_on_evolved_pools():
     # Every generation's whole pool (survivors, newborns and immigrants,
     # before retain) and its survivors (after retain), under every metric:
-    # each matrix entry is the pairwise function's value, bit for bit.
+    # each matrix entry is the pairwise function's value, bit for bit.  So
+    # is each entry of the survivors' reader that the step returns, a view
+    # of the pool's reader, under each shaping metric in turn.
     problem = RoutingProblem()
-    config = EngineConfig(
-        population_size=12,
-        diversity=DiversityConfig(MetricKind.GENEALOGICAL_TREE, weight=4.0),
-    )
-    rng = np.random.default_rng(44)
-    population, graph = initialize(config, rng, problem)
-    index = AncestryIndex.from_graph(graph)
-    fns = {kind: make_distance_fn(kind, index) for kind in MetricKind if kind is not MetricKind.NONE}
-    pair_fns = {
-        MetricKind.DOMAIN: lambda x, y: domain_distance(x.genome, y.genome),
-        MetricKind.TRASH_BITS: lambda x, y: tdist(x.trash, y.trash),
-        MetricKind.GENEALOGICAL_TREE: lambda x, y: graph.gdist(x.node, y.node),
-    }
+    for shaping, weight in [
+        (MetricKind.GENEALOGICAL_TREE, 4.0), (MetricKind.DOMAIN, 1.0), (MetricKind.TRASH_BITS, 2.0)
+    ]:
+        config = EngineConfig(population_size=12, diversity=DiversityConfig(shaping, weight))
+        rng = np.random.default_rng(44)
+        population, graph = initialize(config, rng, problem)
+        index = AncestryIndex.from_graph(graph)
+        fns = {kind: make_distance_fn(kind, index) for kind in MetricKind if kind is not MetricKind.NONE}
+        pair_fns = {
+            MetricKind.DOMAIN: lambda x, y: domain_distance(x.genome, y.genome),
+            MetricKind.TRASH_BITS: lambda x, y: tdist(x.trash, y.trash),
+            MetricKind.GENEALOGICAL_TREE: lambda x, y, graph=graph: graph.gdist(x.node, y.node),
+        }
 
-    def check(members):
-        for kind, fn in fns.items():
-            assert read_all(fn(members), len(members)).tolist() == reference_matrix(
-                members, pair_fns[kind]
-            ), kind
+        def check(members):
+            for kind, fn in fns.items():
+                assert read_all(fn(members), len(members)).tolist() == reference_matrix(
+                    members, pair_fns[kind]
+                ), kind
 
-    for gen in range(1, 41):
-        born = {}
-        survivors = step_generation(
-            population, graph, config, problem, rng,
-            generation=gen, ancestry_index=index, registry=born,
-        )
-        check(population + list(born.values()))
-        index.retain(ind.node for ind in survivors)
-        check(survivors)
-        population = survivors
-    # Selection under shaping still leaves near-clones behind: zero entries
-    # off the diagonal are covered.
-    trash = read_all(fns[MetricKind.TRASH_BITS](population), len(population))
-    assert (trash == 0.0).sum() > len(population)
+        distances = fns[shaping](population)
+        for gen in range(1, 41):
+            born = {}
+            survivors, distances = step_generation(
+                population, graph, config, problem, rng,
+                generation=gen, distances=distances, ancestry_index=index, registry=born,
+            )
+            check(population + list(born.values()))
+            index.retain(ind.node for ind in survivors)
+            check(survivors)
+            assert read_all(distances, len(survivors)).tolist() == reference_matrix(
+                survivors, pair_fns[shaping]
+            ), shaping
+            population = survivors
+        if shaping is MetricKind.GENEALOGICAL_TREE:
+            # Selection under this shaping still leaves near-clones behind:
+            # zero entries off the diagonal are covered.
+            trash = read_all(fns[MetricKind.TRASH_BITS](population), len(population))
+            assert (trash == 0.0).sum() > len(population)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import genediv.engine
 from genediv.diversity import (
     DiversityConfig,
     MetricKind,
@@ -206,8 +207,9 @@ def test_step_identity_when_no_operators_fire():
     config = small_config(mutation_prob=0.0, crossover_prob=0.0, immigrants_per_gen=0)
     population, graph = initialize(config, rng, PROBLEM)
     before = {ind.node for ind in population}
-    after = step_generation(population, graph, config, PROBLEM, rng, generation=1)
+    after, reader = step_generation(population, graph, config, PROBLEM, rng, generation=1)
     assert {ind.node for ind in after} == before
+    assert reader is None  # the none kind has no metric
     assert len(graph) == config.population_size
 
 
@@ -216,13 +218,59 @@ def test_step_keeps_population_size_and_stamps_generation():
     config = small_config()
     population, graph = initialize(config, rng, PROBLEM)
     for gen in range(1, 6):
-        population = step_generation(population, graph, config, PROBLEM, rng, generation=gen)
+        population, _ = step_generation(population, graph, config, PROBLEM, rng, generation=gen)
         assert len(population) == config.population_size
     for node in graph.nodes():
         gen = graph.birth_generation(node)
         assert 0 <= gen <= 5
         for parent in graph.parents(node):
             assert parent < node
+
+
+@pytest.mark.parametrize(
+    "kind", [MetricKind.DOMAIN, MetricKind.GENEALOGICAL_TREE, MetricKind.TRASH_BITS]
+)
+def test_shaped_step_without_a_reader_raises(kind):
+    # Scoring the tournaments on raw fitness instead would change the run
+    # silently; at weight 0 no reader is read, so none is needed.
+    config = small_config(diversity=DiversityConfig(kind, weight=1.0))
+    rng = np.random.default_rng(60)
+    population, graph = initialize(config, rng, PROBLEM)
+    index = AncestryIndex.from_graph(graph)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="reader"):
+        step_generation(population, graph, config, PROBLEM, rng, ancestry_index=index)
+    assert rng.bit_generator.state == state  # rejected before any draw
+    inert = dataclasses.replace(config, diversity=DiversityConfig(kind, weight=0.0))
+    survivors, reader = step_generation(population, graph, inert, PROBLEM, rng, ancestry_index=index)
+    assert len(survivors) == config.population_size and reader is not None
+
+
+@pytest.mark.parametrize(
+    "kind, weight",
+    [(MetricKind.DOMAIN, 1.0), (MetricKind.TRASH_BITS, 2.0),
+     (MetricKind.GENEALOGICAL_TREE, 4.0), (MetricKind.DOMAIN, 0.0)],
+)
+def test_run_builds_one_reader_per_generation(monkeypatch, kind, weight):
+    # The pool's reader is the generation's one build; the survivors read a
+    # view of it, and the run builds one more for its initial population.
+    builds = []
+    make = genediv.engine.make_distance_fn
+
+    def counting(*args):
+        fn = make(*args)
+        return fn and (lambda members: builds.append(len(members)) or fn(members))
+
+    monkeypatch.setattr(genediv.engine, "make_distance_fn", counting)
+    config = small_config(diversity=DiversityConfig(kind, weight=weight))
+    result = run_evolution(config, PROBLEM, seed=61)
+    assert len(builds) == config.generations + 1
+    assert builds[0] == config.population_size
+    monkeypatch.undo()
+    expected = run_evolution(config, PROBLEM, seed=61)
+    assert [r.mean_probe_diversity for r in result.trace] == [
+        r.mean_probe_diversity for r in expected.trace
+    ]
 
 
 def test_step_rejects_wrong_population_size():

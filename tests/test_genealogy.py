@@ -446,10 +446,11 @@ def test_ancestry_index_matches_graph_under_retain():
 
 
 def test_ancestry_index_reader_outlives_storage_growth():
-    # The engine's tournament pattern: a reader over the survivors is made
-    # before a generation's births and read while they arrive.  Three small
-    # generations stay within the first 16-row allocation; the last one's
-    # births grow it past 16 and then 32 rows under the live reader.
+    # The engine's pattern: the survivors' reader is made before a
+    # generation's births and read while they arrive, and the pool's is read
+    # through a view of the survivors after retain.  Three small generations
+    # stay within the first 16-row allocation; the last one's births grow it
+    # past 16 and then 32 rows under the live reader.
     rng = np.random.default_rng(18)
     g = GenealogyGraph()
     index = AncestryIndex()
@@ -471,8 +472,12 @@ def test_ancestry_index_reader_outlives_storage_growth():
             index.add(pool[-1], parents)
             sizes.add(index._state.shape[0])
             assert read(r[:, None], r).tolist() == expected
-        alive = sorted(int(n) for n in rng.choice(pool, len(alive), replace=False))
+        pool_read = index.gdist_among(pool)
+        keep = np.sort(rng.choice(len(pool), len(alive), replace=False))  # pool is ascending
+        alive = [pool[i] for i in keep]
         index.retain(alive)
+        expected = [[g.gdist(x, y) for y in alive] for x in alive]
+        assert pool_read(keep[r[:, None]], keep[r]).tolist() == expected
     assert sizes == {16, 32, 64}
 
 
@@ -575,7 +580,7 @@ def test_ancestry_index_retain_keeps_alive_queries_working():
 def test_ancestry_index_dropped_node_raises_key_error():
     g = siblings()
     index = AncestryIndex.from_graph(g)
-    index.gdist_among([0, 1])  # a table that misses survivor 2 is not kept
+    index.gdist_among([0, 1])  # a reader holds its own table, not the index
     index.retain([1, 2])
     assert index.column_nodes() == [0, 1, 2]  # 0 is dropped as a node, kept as a column
     for query in (
