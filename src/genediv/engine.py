@@ -167,10 +167,13 @@ def _spawner(
     """``spawn(*parents)``: the one way an individual is born, by the birth
     rule above.  No parent makes a random individual, one a mutant and two a
     recombinant.  It records the child in ``graph``, scores it and files it
-    in ``registry``."""
+    in ``registry``.  Fitness is a function of the genome alone, so a
+    recombinant whose genome is byte-equal to a parent's takes that parent's
+    raw fitness, which ``problem`` scored at the parent's birth."""
 
     def spawn(*parents: Individual) -> Individual:
         # The genome operator is evaluated before the marker operator.
+        raw = None
         if not parents:
             genome, trash = problem.random_genome(rng), random_trash(tau, rng)
         elif len(parents) == 1:
@@ -180,9 +183,12 @@ def _spawner(
             p, q = parents
             genome = problem.crossover(p.genome, q.genome, rng)
             trash = uniform_cross(p.trash, q.trash, rng)
-        nodes = [p.node for p in parents]
-        node = graph.record_birth(nodes, generation)
-        child = Individual(node, genome, trash, float(problem.evaluate(genome)))
+            key = genome.tobytes()
+            raw = next((r.raw_fitness for r in parents if r.genome.tobytes() == key), None)
+        node = graph.record_birth([p.node for p in parents], generation)
+        if raw is None:
+            raw = float(problem.evaluate(genome))
+        child = Individual(node, genome, trash, raw)
         if registry is not None:
             registry[node] = child
         return child
@@ -274,12 +280,12 @@ def step_generation(
     spawn = _spawner(graph, problem, rng, config.tau, generation, registry)
     offspring: list[Individual] = []
 
-    gates = rng.random(n) < config.mutation_prob
+    gates = (rng.random(n) < config.mutation_prob).tolist()
     for i in range(n):
         if gates[i]:
             offspring.append(spawn(population[i]))
 
-    gates = rng.random(n) < config.crossover_prob
+    gates = (rng.random(n) < config.crossover_prob).tolist()
     for i in range(n):
         if gates[i] and n > 1:
             partner = tournament_select(
@@ -296,8 +302,11 @@ def step_generation(
     read = distance_fn and distance_fn(pool)
     scores = augmented_fitness(pool, range(len(pool)), div, rng, read if shaped else None)
     ranked = sorted(_ranked(scores, pool, range(len(pool))))[: config.population_size]
+    survivors = [pool[i] for _, _, i in ranked]
+    if read is None:
+        return survivors, None
     keep = np.array([i for _, _, i in ranked], dtype=np.intp)
-    return [pool[i] for i in keep], read and (lambda a, b: read(keep[a], keep[b]))
+    return survivors, lambda a, b: read(keep[a], keep[b])
 
 
 def _trace_row(
@@ -315,9 +324,10 @@ def _trace_row(
     raw = [ind.raw_fitness for ind in population]
     best = population[min(_ranked(raw, population, range(len(population))))[2]]
     k = min(PROBE_SIZE, len(population))
-    probe = np.asarray(draw_distinct_indices(rng, len(population), k))
+    probe = draw_distinct_indices(rng, len(population), k)
     diversity = 0.0
     if distances is not None and k > 1:
+        probe = np.array(probe, dtype=np.intp)
         read = distances(probe[:, None], probe).tolist()
         pairs = list(itertools.combinations(range(k), 2))
         diversity = sum_left(read[a][b] for a, b in pairs) / len(pairs)

@@ -39,7 +39,7 @@ import math
 from collections import deque
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -74,6 +74,10 @@ class GenealogyGraph:
     def nodes(self) -> range:
         """All node ids, in birth order."""
         return range(len(self._parents))
+
+    def births(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """``(node, generation, parents)`` of every node, in birth order."""
+        return zip(range(len(self._parents)), self._birth_gen, self._parents)
 
     def record_birth(self, parents: tuple[int, ...] | list[int], generation: int = 0) -> int:
         """Append a new node and return its id.
@@ -243,13 +247,13 @@ class GenealogyGraph:
 # ----------------------------------------------------------------------
 
 def write_genealogy_log(graph: GenealogyGraph, path: str | Path) -> None:
-    """Write one line per node: ``id,generation,op_kind[,parent_ids...]``."""
-    lines = []
-    for node in graph.nodes():
-        fields = [str(node), str(graph.birth_generation(node)), graph.kind(node).value]
-        fields.extend(str(p) for p in graph.parents(node))
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Write one line per node: ``id,generation,op_kind[,parent_ids...]``,
+    each ended by ``\\n`` on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(
+            ",".join((str(node), str(gen), _KINDS[len(parents)].value, *map(str, parents))) + "\n"
+            for node, gen, parents in graph.births()
+        )
 
 
 def read_genealogy_log(path: str | Path) -> GenealogyGraph:
@@ -355,8 +359,7 @@ class AncestryIndex:
     def from_graph(cls, graph: GenealogyGraph) -> "AncestryIndex":
         """Track every node of ``graph``, in batches whose parents precede them."""
         index, batch = cls(), []
-        for node in graph.nodes():
-            parents = graph.parents(node)
+        for node, _, parents in graph.births():
             if batch and max(parents, default=-1) >= batch[0][0]:
                 index.add_births(batch)
                 batch = []

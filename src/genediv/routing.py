@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,38 +154,8 @@ def simulate(genome: np.ndarray, arena: Arena = DEFAULT_ARENA, step_norm: str = 
     :class:`SettingError` of :class:`RoutingProblem`.
     """
     trajectory = [arena.start]
-    fitness = _walk(RoutingProblem(arena, step_norm=step_norm), genome, trajectory)
+    fitness = RoutingProblem(arena, step_norm=step_norm).evaluate(genome, trajectory)
     return SimulationResult(np.array(trajectory, dtype=float), fitness)
-
-
-def _walk(problem: RoutingProblem, genome: np.ndarray, trajectory: list | None) -> int:
-    """The fitness of ``genome`` (rows of ``dx, dy``) in ``problem``'s arena;
-    appends each step's position to ``trajectory`` unless it is ``None``.
-    An action whose size in the problem's norm (``|dx| + |dy|`` for ``"l1"``,
-    ``max(|dx|, |dy|)`` for ``"linf"``) exceeds :data:`STEP_BUDGET` is first
-    scaled down to it, direction kept."""
-    genome = np.asarray(genome, dtype=float)
-    if genome.ndim != 2 or genome.shape[1] != 2:
-        raise ValueError(f"genome must have shape (n, 2), got {genome.shape}")
-    arena, l1 = problem.arena, problem.step_norm == "l1"
-    x, y = arena.start
-    bounds, obstacle, goal = arena.bounds, arena.obstacle, arena.goal
-    fitness = 0
-    for dx, dy in genome.tolist():
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            raise ValueError(f"action components must be finite, got ({dx}, {dy})")
-        size = abs(dx) + abs(dy) if l1 else max(abs(dx), abs(dy))
-        if size > STEP_BUDGET:
-            scale = STEP_BUDGET / size
-            dx, dy = dx * scale, dy * scale
-        nx, ny = x + dx, y + dy
-        if bounds.contains(nx, ny) and not segment_crosses_interior((x, y), (nx, ny), obstacle):
-            x, y = nx, ny
-        if trajectory is not None:
-            trajectory.append((x, y))
-        if goal.contains(x, y):
-            fitness += 1
-    return fitness
 
 
 def domain_distance(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -211,6 +181,8 @@ class RoutingProblem:
     arena: Arena = DEFAULT_ARENA
     sigma: float = DEFAULT_SIGMA
     step_norm: str = "l1"
+    # start, then bounds, obstacle and goal as x0, y0, x1, y1: plain floats
+    _floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.step_norm not in STEP_NORMS:
@@ -219,6 +191,10 @@ class RoutingProblem:
             )
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise SettingError("sigma", f"sigma must be finite and > 0, got {self.sigma}")
+        floats = list(self.arena.start)
+        for r in (self.arena.bounds, self.arena.obstacle, self.arena.goal):
+            floats += (r.x0, r.y0, r.x1, r.y1)
+        object.__setattr__(self, "_floats", tuple(map(float, floats)))
 
     def random_genome(self, rng: np.random.Generator) -> np.ndarray:
         return random_genome(rng)
@@ -237,6 +213,70 @@ class RoutingProblem:
         take_first = rng.random(len(g1)) < 0.5
         return np.where(take_first[:, None], g1, g2)
 
-    def evaluate(self, genome: np.ndarray) -> int:
-        """``simulate(genome).raw_fitness``, without building the trajectory."""
-        return _walk(self, genome, None)
+    def evaluate(self, genome: np.ndarray, trajectory: list | None = None) -> int:
+        """The fitness of ``genome`` (rows of ``dx, dy``) by the rule of
+        :func:`simulate`, appending each step's position to ``trajectory``
+        unless it is ``None``.  An action larger than :data:`STEP_BUDGET` in
+        the step norm (``|dx| + |dy|`` or ``max(|dx|, |dy|)``) is first scaled
+        down to it, direction kept.
+
+        The obstacle test is the slab test of :func:`segment_crosses_interior`
+        inlined: same arithmetic, x before y.  A move whose endpoints both lie
+        at or beyond one side of the obstacle skips it, as by monotone
+        rounding its entry time there is at least 1, or both times at most 0.
+        """
+        genome = np.asarray(genome, dtype=float)
+        if genome.ndim != 2 or genome.shape[1] != 2:
+            raise ValueError(f"genome must have shape (n, 2), got {genome.shape}")
+        x, y, bx0, by0, bx1, by1, ox0, oy0, ox1, oy1, gx0, gy0, gx1, gy1 = self._floats
+        l1 = self.step_norm == "l1"
+        fitness = 0
+        for dx, dy in genome.tolist():
+            # Within the budget in l1 means finite and within it in either norm.
+            size = abs(dx) + abs(dy)
+            if not size <= STEP_BUDGET:
+                if not (math.isfinite(dx) and math.isfinite(dy)):
+                    raise ValueError(f"action components must be finite, got ({dx}, {dy})")
+                if not l1:
+                    size = max(abs(dx), abs(dy))
+                if size > STEP_BUDGET:
+                    scale = STEP_BUDGET / size
+                    dx, dy = dx * scale, dy * scale
+            nx, ny = x + dx, y + dy
+            if bx0 <= nx <= bx1 and by0 <= ny <= by1:
+                if (
+                    (x <= ox0 and nx <= ox0)
+                    or (x >= ox1 and nx >= ox1)
+                    or (y <= oy0 and ny <= oy0)
+                    or (y >= oy1 and ny >= oy1)
+                ):
+                    x, y = nx, ny
+                else:
+                    # A coordinate that does not move lies strictly inside its
+                    # slab here.  A slab only narrows the interval [lo, hi].
+                    lo, hi = 0.0, 1.0
+                    d = nx - x
+                    if d != 0.0:
+                        ta, tb = (ox0 - x) / d, (ox1 - x) / d
+                        if ta > tb:
+                            ta, tb = tb, ta
+                        if ta > lo:
+                            lo = ta
+                        if tb < hi:
+                            hi = tb
+                    d = ny - y
+                    if d != 0.0:
+                        ta, tb = (oy0 - y) / d, (oy1 - y) / d
+                        if ta > tb:
+                            ta, tb = tb, ta
+                        if ta > lo:
+                            lo = ta
+                        if tb < hi:
+                            hi = tb
+                    if lo >= hi:
+                        x, y = nx, ny
+            if trajectory is not None:
+                trajectory.append((x, y))
+            if gx0 <= x <= gx1 and gy0 <= y <= gy1:
+                fitness += 1
+        return fitness

@@ -40,7 +40,7 @@ def uniform_cross(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.
     if a.size != b.size:
         raise ValueError(f"marker length mismatch: {a.size} != {b.size}")
     take_a = rng.random(a.size) < 0.5
-    return np.where(take_a, a, b).astype(np.uint8)
+    return np.where(take_a, a, b).astype(np.uint8, copy=False)
 
 
 def tdist(a: np.ndarray, b: np.ndarray) -> float:

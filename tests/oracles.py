@@ -1,10 +1,13 @@
-"""Brute-force reference implementations of the ancestry queries.
+"""Brute-force reference implementations of the ancestry queries, and a
+reference routing walker.
 
 These deliberately avoid the graph code's search strategy: ancestor
 distances come from a dense dynamic program that transcribes the recursive
 definition (a node's distance-from-every-source is one more than the best
 of its parents'), and undirected distances come from Bellman-Ford edge
-relaxation.  Both are slow and obvious, which is the point.
+relaxation.  Both are slow and obvious, which is the point.  The walker
+steps a genome through the arena with one call of
+:func:`~genediv.routing.segment_crosses_interior` per move.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 
 import numpy as np
 
-from genediv import GenealogyGraph
+from genediv import GenealogyGraph, RoutingProblem
+from genediv.routing import STEP_BUDGET, segment_crosses_interior
 
 
 def random_dag(rng: np.random.Generator, max_nodes: int = 100) -> GenealogyGraph:
@@ -128,3 +132,33 @@ def brute_edist_from(graph: GenealogyGraph, source: int) -> list[int | float]:
         if not changed:
             break
     return [d if math.isinf(d) else int(d) for d in dist]
+
+
+def reference_walk(problem: RoutingProblem, genome: np.ndarray, trajectory: list | None) -> int:
+    """The fitness of ``genome`` (rows of ``dx, dy``) in ``problem``'s arena;
+    appends each step's position to ``trajectory`` unless it is ``None``.
+    An action whose size in the problem's norm (``|dx| + |dy|`` for ``"l1"``,
+    ``max(|dx|, |dy|)`` for ``"linf"``) exceeds :data:`STEP_BUDGET` is first
+    scaled down to it, direction kept."""
+    genome = np.asarray(genome, dtype=float)
+    if genome.ndim != 2 or genome.shape[1] != 2:
+        raise ValueError(f"genome must have shape (n, 2), got {genome.shape}")
+    arena, l1 = problem.arena, problem.step_norm == "l1"
+    x, y = arena.start
+    bounds, obstacle, goal = arena.bounds, arena.obstacle, arena.goal
+    fitness = 0
+    for dx, dy in genome.tolist():
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError(f"action components must be finite, got ({dx}, {dy})")
+        size = abs(dx) + abs(dy) if l1 else max(abs(dx), abs(dy))
+        if size > STEP_BUDGET:
+            scale = STEP_BUDGET / size
+            dx, dy = dx * scale, dy * scale
+        nx, ny = x + dx, y + dy
+        if bounds.contains(nx, ny) and not segment_crosses_interior((x, y), (nx, ny), obstacle):
+            x, y = nx, ny
+        if trajectory is not None:
+            trajectory.append((x, y))
+        if goal.contains(x, y):
+            fitness += 1
+    return fitness

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +190,24 @@ def test_dump_genealogy_subcommand(tmp_path, capsys):
     assert main(["dump-genealogy", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
     graph = read_genealogy_log(out)
     assert len(graph) >= 8
+
+
+# sha256 of the dump-genealogy log of the shipped config at 200 generations,
+# seed 1000.
+LOG_SHA256 = {
+    "none": "1c5499a154797c3175a62b5ce4aae9e8e65cccfc9f687a36f00eb9e041808bf5",
+    "genealogical_tree": "deec1b493e5c0c97ff189200d4d05808ae297ae994e25a72b3da771dc0784d6c",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(LOG_SHA256))
+def test_dump_genealogy_log_matches_reference_sha256(tmp_path, monkeypatch, variant):
+    monkeypatch.setenv("GENEDIV_ENGINE_GENERATIONS", "200")
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "experiment.cfg"
+    out = tmp_path / "genealogy.log"
+    argv = ["dump-genealogy", "--config", str(cfg), "--seed", "1000", "--variant", variant]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LOG_SHA256[variant]
 
 
 def test_dump_genealogy_variant_flag(tmp_path):

@@ -304,6 +304,33 @@ def test_recombination_children_inherit_trash_bitwise():
         assert np.count_nonzero((child.genome != parent.genome).any(axis=1)) <= 1
 
 
+@dataclasses.dataclass(frozen=True)
+class CountingProblem(RoutingProblem):
+    """Counts its evaluations."""
+
+    evaluated: list = dataclasses.field(default_factory=list, compare=False)
+
+    def evaluate(self, genome, trajectory=None):
+        self.evaluated.append(genome)
+        return super().evaluate(genome, trajectory)
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_recombinant_that_copies_a_parent_takes_its_fitness(kind):
+    weight = 0.0 if kind is MetricKind.NONE else 1.0
+    config = small_config(generations=40, diversity=DiversityConfig(kind, weight))
+    problem = CountingProblem()
+    result = run_evolution(config, problem, seed=57, keep_all=True)
+    graph, individuals = result.graph, result.individuals
+    copies = 0
+    for node, ind in individuals.items():
+        assert ind.raw_fitness == PROBLEM.evaluate(ind.genome)
+        parents = [individuals[p].genome.tobytes() for p in graph.parents(node)]
+        copies += len(parents) == 2 and ind.genome.tobytes() in parents
+    assert copies > 0
+    assert len(problem.evaluated) == len(individuals) - copies
+
+
 def test_graph_growth_respects_upper_bound():
     config = small_config(generations=25)
     result = run_evolution(config, PROBLEM, seed=61)

@@ -92,6 +92,16 @@ def test_birth_generation_recorded():
     assert [g.birth_generation(i) for i in g.nodes()] == [0, 1, 2]
 
 
+def test_births_lists_every_node_in_birth_order():
+    g = GenealogyGraph()
+    g.record_birth((), 0)
+    g.record_birth((0,), 4)
+    g.record_birth((1, 0), 4)
+    assert list(g.births()) == [(0, 0, ()), (1, 4, (0,)), (2, 4, (1, 0))]
+    for node, generation, parents in g.births():
+        assert generation == g.birth_generation(node) and parents == g.parents(node)
+
+
 # ----------------------------------------------------------------------
 # directed ancestry distance
 # ----------------------------------------------------------------------

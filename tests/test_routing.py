@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from genediv import DiversityConfig, EngineConfig, MetricKind, run_evolution
 from genediv.routing import (
     DEFAULT_ARENA,
     GENOME_LENGTH,
+    STEP_NORMS,
     Arena,
     Rect,
     RoutingProblem,
@@ -13,6 +17,7 @@ from genediv.routing import (
     segment_crosses_interior,
     simulate,
 )
+from oracles import reference_walk
 
 
 def zeros(n=GENOME_LENGTH):
@@ -294,6 +299,31 @@ def test_routing_problem_rejects_bad_sigma(sigma):
     assert err.value.field == "sigma"
 
 
+# ----------------------------------------------------------------------
+# the step loop against the reference walker
+# ----------------------------------------------------------------------
+
+def assert_walk_matches_reference(problem, genome):
+    """``evaluate`` and ``simulate`` agree with the reference walker bit for
+    bit: fitness, trajectory and any error.  Returns the trajectory, or
+    ``None`` when the genome is rejected."""
+    arena, norm = problem.arena, problem.step_norm
+    want_path = [arena.start]
+    try:
+        want = reference_walk(problem, genome, want_path)
+    except ValueError as exc:
+        for call in (lambda: problem.evaluate(genome), lambda: simulate(genome, arena, norm)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(exc)
+        return None
+    result = simulate(genome, arena, norm)
+    assert result.raw_fitness == want
+    assert result.trajectory.tobytes() == np.array(want_path, dtype=float).tobytes()
+    assert problem.evaluate(genome) == want
+    return result.trajectory
+
+
 def _grazing_genomes(rng, count):
     """Actions on a 0.05 grid, so positions land on the obstacle's edges and
     corners and on the arena bounds, where a move is allowed or rejected by
@@ -315,22 +345,107 @@ def test_evaluate_is_simulate_fitness(step_norm):
         problem = RoutingProblem(arena=arena, step_norm=step_norm)
         genomes = [random_genome(rng) for _ in range(300)] + _grazing_genomes(rng, 300)
         for g in genomes:
-            result = simulate(g, arena, step_norm)
-            assert problem.evaluate(g) == result.raw_fitness
+            path = assert_walk_matches_reference(problem, g)
             edges = (arena.obstacle.x0, arena.obstacle.x1, arena.bounds.x0, arena.bounds.x1)
-            grazed += bool(np.isin(result.trajectory[1:, 0], edges).any())
+            grazed += bool(np.isin(path[1:, 0], edges).any())
     assert grazed > 100
 
 
 def test_evaluate_rejects_what_simulate_rejects():
-    problem = RoutingProblem()
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        genome = zeros()
-        genome[3] = (0.1, bad)
-        with pytest.raises(ValueError) as want:
-            simulate(genome)
-        with pytest.raises(ValueError) as got:
-            problem.evaluate(genome)
-        assert str(got.value) == str(want.value)
+    nan, inf = float("nan"), float("inf")
+    for step_norm in STEP_NORMS:
+        problem = RoutingProblem(step_norm=step_norm)
+        for row in [(0.1, nan), (0.1, inf), (0.1, -inf), (nan, 0.0), (inf, nan), (1e308, nan)]:
+            genome = zeros()
+            genome[3] = row
+            assert assert_walk_matches_reference(problem, genome) is None
     with pytest.raises(ValueError, match="shape"):
-        problem.evaluate(np.zeros((10, 3)))
+        RoutingProblem().evaluate(np.zeros((10, 3)))
+
+
+# Coordinates on a 1/8 grid are exact, so positions land exactly on the
+# obstacle's edges and corners and moves run along its edges.
+GRID_ARENA = Arena(
+    bounds=Rect(0.0, 0.0, 1.0, 1.0),
+    start=(0.25, 0.125),  # below the obstacle's bottom-left corner
+    goal=Rect(0.75, 0.625, 1.0, 1.0),
+    obstacle=Rect(0.25, 0.25, 0.75, 0.5),
+)
+
+
+def evolved_genomes():
+    """Every individual of a short run of each kind."""
+    genomes = []
+    for seed, kind in enumerate(MetricKind):
+        weight = 0.0 if kind is MetricKind.NONE else 1.0
+        config = EngineConfig(population_size=10, generations=15,
+                              diversity=DiversityConfig(kind, weight))
+        result = run_evolution(config, seed=300 + seed, keep_all=True)
+        genomes += [ind.genome for ind in result.individuals.values()]
+    return genomes
+
+
+@pytest.mark.parametrize("step_norm", STEP_NORMS)
+def test_step_loop_matches_reference_walker(step_norm):
+    rng = np.random.default_rng(27)
+    default = RoutingProblem(step_norm=step_norm)
+    for genome in evolved_genomes():
+        assert_walk_matches_reference(default, genome)
+    for _ in range(300):  # clamped in either norm
+        assert_walk_matches_reference(default, rng.uniform(-3.0, 3.0, size=(GENOME_LENGTH, 2)))
+
+    grid = RoutingProblem(arena=GRID_ARENA, step_norm=step_norm)
+    obstacle = GRID_ARENA.obstacle
+    touched = 0
+    for _ in range(600):
+        genome = rng.integers(-4, 5, size=(GENOME_LENGTH, 2)) * 0.125
+        path = assert_walk_matches_reference(grid, genome)
+        on_x = np.isin(path[:, 0], (obstacle.x0, obstacle.x1))
+        on_y = np.isin(path[:, 1], (obstacle.y0, obstacle.y1))
+        touched += bool((on_x | on_y).any())
+    assert touched > 300
+
+
+# (start, action): a diagonal that touches one corner of GRID_ARENA's
+# obstacle, and a move that slides along one of its edges.
+CORNER_AND_EDGE_MOVES = [
+    ((0.125, 0.375), (0.25, 0.25)),  # top-left corner
+    ((0.625, 0.625), (0.25, -0.25)),  # top-right
+    ((0.125, 0.375), (0.25, -0.25)),  # bottom-left
+    ((0.625, 0.125), (0.25, 0.25)),  # bottom-right
+    ((0.25, 0.25), (0.0, 0.25)),  # up the left edge
+    ((0.5, 0.5), (0.25, 0.0)),  # along the top edge
+    ((0.75, 0.5), (0.0, -0.25)),  # down the right edge
+    ((0.25, 0.25), (0.5, 0.0)),  # along the bottom edge
+]
+
+
+@pytest.mark.parametrize("step_norm", STEP_NORMS)
+@pytest.mark.parametrize("start, action", CORNER_AND_EDGE_MOVES)
+def test_step_loop_matches_reference_at_corners_and_edges(step_norm, start, action):
+    arena = dataclasses.replace(GRID_ARENA, start=start)
+    problem = RoutingProblem(arena=arena, step_norm=step_norm)
+    forth, back = np.array(action), -np.array(action)
+    # Out and back along the move, a standstill, then the move with its axes
+    # swapped, both ways.
+    rows = [forth, back, forth, (0.0, 0.0), back[::-1], forth[::-1]] * 2
+    path = assert_walk_matches_reference(problem, np.array(rows[:GENOME_LENGTH]))
+    assert np.array_equal(path[1], np.add(start, action))  # the touching move is taken
+
+
+@pytest.mark.parametrize("step_norm", STEP_NORMS)
+def test_step_loop_matches_reference_on_signed_zeros_and_overflow(step_norm):
+    big = np.finfo(float).max
+    rows = [
+        (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.25), (0.25, -0.0), (0.0, -0.125),
+        # finite, but |dx| + |dy| overflows to inf
+        (big, big), (-big, big), (big, -1e300), (1e308, 1e308),
+    ]
+    for arena in (DEFAULT_ARENA, GRID_ARENA):
+        problem = RoutingProblem(arena=arena, step_norm=step_norm)
+        for row in rows:
+            for pos in (0, 4):
+                genome = np.full((GENOME_LENGTH, 2), -0.0)
+                genome[1] = (0.125, 0.0)
+                genome[pos] = row
+                assert assert_walk_matches_reference(problem, genome) is not None
