@@ -27,7 +27,9 @@ On top of the raw graph this module provides:
   over pruned *depth columns* (ancestors that can still set a depth) serve
   only to compute newborns' depths.  Memory and the cost of a generation
   are bounded by the living individuals and their distinct lineages rather
-  than by the horizon, so it is fast enough for use inside a selection loop.
+  than by the horizon (the prune of the depth columns holds a constant
+  times living individuals × columns), so it is fast enough for use inside
+  a selection loop.
 
 Plain-text logs of the graph (one node per line) can be written and read
 back with :func:`write_genealogy_log` / :func:`read_genealogy_log`.
@@ -115,24 +117,37 @@ class GenealogyGraph:
     # distance queries
     # ------------------------------------------------------------------
 
-    def ancestor_distances(self, node: int, _least: int = 0) -> dict[int, int]:
-        """Map every ancestor of ``node`` (including itself) to its ``adist``.
+    def _search(self, node: int) -> tuple[dict[int, int], int, list[int]]:
+        """``(dist, depth, farthest)``: every ancestor of ``node`` (itself
+        included) mapped to its ``adist``, the largest of them, and the
+        ancestors at that distance.
 
-        Breadth-first search over parent edges; because edges shorten ids,
-        this visits each ancestor once.  The map lists ancestors in the
-        order visited, so their ``adist`` never decreases along it.  Ids
-        below ``_least`` are not searched, nor are their ancestors.
+        Breadth-first search over parent edges, a level at a time; because
+        edges shorten ids, it visits each ancestor once.  The map lists
+        ancestors in the order visited, so their ``adist`` never decreases
+        along it, and ``farthest`` lists the last level in that order.
         """
-        node = self._check(node)
+        parents = self._parents
         dist = {node: 0}
-        queue = [node]  # a for loop reads what is appended during it
-        for cur in queue:
-            d = dist[cur] + 1
-            for p in self._parents[cur]:
-                if p >= _least and p not in dist:
-                    dist[p] = d
-                    queue.append(p)
-        return dist
+        level = [node]
+        d = 0
+        while True:
+            d += 1
+            found = []
+            for cur in level:
+                for p in parents[cur]:
+                    if p not in dist:
+                        dist[p] = d
+                        found.append(p)
+            if not found:
+                return dist, d - 1, level
+            level = found
+
+    def ancestor_distances(self, node: int) -> dict[int, int]:
+        """Map every ancestor of ``node`` (including itself) to its ``adist``,
+        listed in breadth-first order, so their ``adist`` never decreases
+        along the map."""
+        return self._search(self._check(node))[0]
 
     def adist(self, x1: int, x2: int) -> int | float:
         """Minimal number of variation steps from ``x1`` down to ``x2``.
@@ -141,28 +156,63 @@ class GenealogyGraph:
         an ancestor of ``x2``.
         """
         x1 = self._check(x1)
-        # Ancestors always carry smaller ids, so none below x1 leads to it.
-        return self.ancestor_distances(x2, x1).get(x1, INFINITE)
+        x2 = self._check(x2)
+        if x1 >= x2:
+            return 0 if x1 == x2 else INFINITE
+        # The search of _search, level by level from x2, pruned: ancestors
+        # always carry smaller ids, so none below x1 leads to it.
+        parents = self._parents
+        seen = {x2}
+        level = [x2]
+        d = 0
+        while level:
+            d += 1
+            found = []
+            for cur in level:
+                for p in parents[cur]:
+                    if p > x1:
+                        if p not in seen:
+                            seen.add(p)
+                            found.append(p)
+                    elif p == x1:
+                        return d
+            level = found
+        return INFINITE
 
     def _closest_common(self, x1: int, x2: int) -> tuple[int | None, int | None, int]:
         """``(closeness, node, depth)``: the common ancestor closest to either
         individual (ties to the smallest id; both ``None`` without one), and
         the larger of the two individuals' depths."""
-        d1 = self.ancestor_distances(x1)
-        d2 = self.ancestor_distances(x2)
-        # Each map lists its node's farthest ancestor last.
-        depth = max(next(reversed(d1.values())), next(reversed(d2.values())))
-        if len(d2) < len(d1):
-            d1, d2 = d2, d1
-        best = node = None
-        for a, da in d1.items():
-            db = d2.get(a)
-            if db is None:
-                continue
-            if db < da:
-                da = db
-            if best is None or da < best or (da == best and a < node):
-                best, node = da, a
+        d1, depth1, _ = self._search(x1)
+        d2, depth2, _ = self._search(x2)
+        depth = max(depth1, depth2)
+        # Each map is in breadth-first order, so the first common node of
+        # either side is one of that side's closest; only the nodes of the
+        # closest level can tie.
+        common1 = filter(d2.__contains__, d1)
+        a = next(common1, None)
+        if a is None:
+            return None, None, depth
+        common2 = filter(d1.__contains__, d2)
+        b = next(common2)
+        c1, c2 = d1[a], d2[b]
+        if c1 <= c2:
+            best, node = c1, a
+            for x in common1:
+                if d1[x] != best:
+                    break
+                if x < node:
+                    node = x
+        if c2 <= c1:
+            if c2 < c1:
+                best, node = c2, b
+            elif b < node:
+                node = b
+            for x in common2:
+                if d2[x] != best:
+                    break
+                if x < node:
+                    node = x
         return best, node, depth
 
     def latest_common_ancestor(self, x1: int, x2: int) -> int | None:
@@ -171,20 +221,18 @@ class GenealogyGraph:
         "Closest" minimises ``min(adist(a, x1), adist(a, x2))``; ties go to
         the smallest node id.
         """
-        return self._closest_common(x1, x2)[1]
+        return self._closest_common(self._check(x1), self._check(x2))[1]
 
     def earliest_ancestor(self, x: int) -> int:
         """Ancestor with the largest ``adist`` to ``x`` (smallest id on ties).
 
         A node created from scratch is its own earliest ancestor.
         """
-        dist = self.ancestor_distances(x)
-        farthest = next(reversed(dist.values()))
-        return min(a for a, d in dist.items() if d == farthest)
+        return min(self._search(self._check(x))[2])
 
     def depth(self, x: int) -> int:
         """``adist`` from the earliest ancestor of ``x`` down to ``x``."""
-        return next(reversed(self.ancestor_distances(x).values()))
+        return self._search(self._check(x))[1]
 
     def gdist(self, x1: int, x2: int) -> float:
         """Normalised genealogical distance between two individuals.
@@ -301,6 +349,10 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
 # any genealogy under 2**30 births deep.
 _UNREACHED = 1 << 30
 
+# Entries one comparison of the covered-column prune may hold, however small
+# the depth columns: below it the prune's memory does not matter.
+_CHUNK = 1 << 16
+
 
 class AncestryIndex:
     """Pairwise closeness of the tracked nodes, for O(1) ``gdist``.
@@ -338,9 +390,11 @@ class AncestryIndex:
     column never sets a depth, and the width stays flat over the horizon.
 
     *Costs.*  A batch of ``b`` births costs O(b · (tracked + columns)),
-    ``retain`` O(tracked · columns), a prune O(columns² · tracked) at most,
-    and :meth:`gdist_among` O(nodes²) for its table.  Memory is bounded by
-    the tracked nodes and columns, not by the horizon.
+    ``retain`` O(tracked · columns), a prune O(tracked · Σ k²) over the
+    groups of ``k`` columns that reach the same rows (O(columns² · tracked)
+    at most), and :meth:`gdist_among` O(nodes²) for its table.  A prune
+    compares at most ``max(tracked · columns, 2**16)`` entries at a time, so
+    memory is bounded by the tracked nodes and columns, not by the horizon.
     """
 
     def __init__(self) -> None:
@@ -475,11 +529,35 @@ class AncestryIndex:
 
 def _covered(live: np.ndarray) -> np.ndarray:
     """Mask of the columns of ``live`` (unreached entries exactly ``_UNREACHED``)
-    that another covers, and of equal columns all but the earliest.  A column
-    ``<=`` another reaches all its rows, so the same rows if as many."""
-    reached = np.count_nonzero(live < _UNREACHED, axis=0)
-    c, d = np.nonzero(reached[:, None] == reached)
-    lc, ld = live[:, c], live[:, d]
-    covered = np.zeros(live.shape[1], dtype=bool)
-    covered[c[(lc <= ld).all(axis=0) & ((d < c) | (lc != ld).any(axis=0))]] = True
+    that another covers, and of equal columns all but the earliest.
+
+    A column ``<=`` another reaches all its rows, so it can only be covered
+    by one that reaches the same rows: only the column pairs of one reach
+    pattern are compared, in chunks of at most ``max(live.size, _CHUNK)``
+    entries.
+    """
+    rows, width = live.shape
+    groups: dict[bytes, list[int]] = {}
+    for col, key in enumerate(map(bytes, np.packbits(live < _UNREACHED, axis=0).T.tolist())):
+        groups.setdefault(key, []).append(col)
+    covered = np.zeros(width, dtype=bool)
+    chunk = max(live.size, _CHUNK) // max(rows, 1)  # pairs; at least width
+
+    def compare(c: list[int], d: list[int]) -> None:
+        c, d = np.array(c, dtype=np.intp), np.array(d, dtype=np.intp)
+        lc, ld = live[:, c], live[:, d]
+        covered[c[(lc <= ld).all(axis=0) & ((d < c) | (lc != ld).any(axis=0))]] = True
+
+    c, d = [], []  # pairs (c, d): does column d cover column c?
+    for cols in groups.values():
+        if len(cols) < 2:
+            continue
+        for x in cols:
+            if len(c) + len(cols) > chunk:
+                compare(c, d)
+                c, d = [], []
+            c += [x] * len(cols)
+            d += cols
+    if c:
+        compare(c, d)
     return covered

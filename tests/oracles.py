@@ -7,7 +7,9 @@ definition (a node's distance-from-every-source is one more than the best
 of its parents'), and undirected distances come from Bellman-Ford edge
 relaxation.  Both are slow and obvious, which is the point.  The walker
 steps a genome through the arena with one call of
-:func:`~genediv.routing.segment_crosses_interior` per move.
+:func:`~genediv.routing.segment_crosses_interior` per move, and
+:func:`covered_by_count` is the ancestry index's first covered-column
+prune, which pairs columns by their count of reached rows.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from genediv import GenealogyGraph, RoutingProblem
+from genediv.genealogy import _UNREACHED
 from genediv.routing import STEP_BUDGET, segment_crosses_interior
 
 
@@ -162,3 +165,15 @@ def reference_walk(problem: RoutingProblem, genome: np.ndarray, trajectory: list
         if goal.contains(x, y):
             fitness += 1
     return fitness
+
+
+def covered_by_count(live: np.ndarray) -> np.ndarray:
+    """The ancestry index's covered-column mask, pairing every two columns
+    of ``live`` with the same count of reached rows (entries below
+    ``_UNREACHED``): ``rows x pairs`` entries, twice, for any input."""
+    reached = np.count_nonzero(live < _UNREACHED, axis=0)
+    c, d = np.nonzero(reached[:, None] == reached)
+    lc, ld = live[:, c], live[:, d]
+    covered = np.zeros(live.shape[1], dtype=bool)
+    covered[c[(lc <= ld).all(axis=0) & ((d < c) | (lc != ld).any(axis=0))]] = True
+    return covered

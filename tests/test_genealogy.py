@@ -1,23 +1,33 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from genediv import genealogy
+from genediv.diversity import DiversityConfig, MetricKind
+from genediv.engine import EngineConfig, run_evolution
 from genediv.genealogy import (
+    _CHUNK,
+    _UNREACHED,
     INFINITE,
     AncestryIndex,
     GenealogyGraph,
     OpKind,
+    _covered,
     read_genealogy_log,
     write_genealogy_log,
 )
 
 from oracles import (
     adist_matrix,
+    brute_ancestors,
+    brute_depth,
     brute_earliest,
     brute_edist_from,
     brute_gdist,
     brute_lca,
+    covered_by_count,
     random_dag,
 )
 
@@ -220,6 +230,34 @@ def test_gdist_symmetric_and_bounded_on_random_dags():
             assert 0.0 <= d <= 1.0
 
 
+def _evolved_graphs():
+    """Genealogies of two 40-generation runs, unshaped and shaped by
+    ``gdist``, with their survivors."""
+    for kind, weight in ((MetricKind.NONE, 0.0), (MetricKind.GENEALOGICAL_TREE, 4.0)):
+        config = EngineConfig(
+            population_size=20,
+            generations=40,
+            diversity=DiversityConfig(kind=kind, weight=weight, sample_size=5),
+        )
+        result = run_evolution(config, seed=1000)
+        yield result.graph, [m.node for m in result.population]
+
+
+def _check_queries(g, m, pairs):
+    """Every query of ``g`` on ``pairs`` against the brute oracles over the
+    dense ``adist`` matrix ``m``."""
+    for a, b in pairs:
+        assert g.adist(a, b) == m[a, b] or (math.isinf(g.adist(a, b)) and math.isinf(m[a, b]))
+        assert g.latest_common_ancestor(a, b) == brute_lca(m, a, b)
+        assert g.gdist(a, b) == brute_gdist(m, a, b)
+        for x in (a, b):
+            assert g.depth(x) == brute_depth(m, x)
+            assert g.earliest_ancestor(x) == brute_earliest(m, x)
+            dist = g.ancestor_distances(x)
+            assert dist == {int(y): int(m[y, x]) for y in brute_ancestors(m, x)}
+            assert list(dist.values()) == sorted(dist.values())
+
+
 def test_graph_queries_match_brute_force_on_random_dags():
     rng = np.random.default_rng(12)
     for _ in range(40):
@@ -228,15 +266,18 @@ def test_graph_queries_match_brute_force_on_random_dags():
         m = adist_matrix(g)
         source = int(rng.integers(n))
         edist_row = brute_edist_from(g, source)
-        for _ in range(12):
-            a = int(rng.integers(n))
-            b = int(rng.integers(n))
-            assert g.adist(a, b) == m[a, b] or (math.isinf(g.adist(a, b)) and math.isinf(m[a, b]))
-            assert g.latest_common_ancestor(a, b) == brute_lca(m, a, b)
-            assert g.earliest_ancestor(a) == brute_earliest(m, a)
-            assert g.gdist(a, b) == brute_gdist(m, a, b)
+        pairs = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(12)]
+        _check_queries(g, m, pairs)
+        for _, b in pairs:
             ed = g.edist_oracle(source, b)
             assert ed == edist_row[b] or (math.isinf(ed) and math.isinf(edist_row[b]))
+    # Evolved genealogies: every survivor pair, either way round, and a
+    # sample of pairs from the whole history.
+    for g, alive in _evolved_graphs():
+        m = adist_matrix(g)
+        survivors = [(a, b) for a in alive for b in alive]
+        history = [tuple(int(x) for x in rng.integers(len(g), size=2)) for _ in range(300)]
+        _check_queries(g, m, survivors + history)
 
 
 # ----------------------------------------------------------------------
@@ -518,6 +559,57 @@ def test_ancestry_index_keeps_live_columns_and_drops_only_covered_ones():
                 for d in kept
             ), c
     assert dropped > 0
+
+
+def _one_row_reach(rng, rows, width, same_row):
+    """Depth columns that each reach one row (row 0 for all with
+    ``same_row``): every column has the same count of reached rows."""
+    live = np.full((rows, width), _UNREACHED, dtype=np.int32)
+    row = np.zeros(width, dtype=np.intp) if same_row else rng.integers(rows, size=width)
+    live[row, np.arange(width)] = rng.integers(5, size=width)
+    return live
+
+
+def test_covered_columns_match_the_count_pairing_oracle(monkeypatch):
+    rng = np.random.default_rng(23)
+    inputs = []
+    for _ in range(200):
+        rows, width = (int(v) for v in rng.integers(12, size=2))
+        live = rng.integers(4, size=(rows, width), dtype=np.int32)
+        live[rng.random((rows, width)) < rng.random()] = _UNREACHED
+        inputs.append(live)
+    inputs += [_one_row_reach(rng, 40, 120, same_row) for same_row in (True, False)]
+    # What retain prunes in a wide shaped run.
+    pruned = []
+    monkeypatch.setattr(genealogy, "_covered", lambda live: pruned.append(live.copy()) or _covered(live))
+    config = EngineConfig(
+        population_size=60,
+        generations=60,
+        diversity=DiversityConfig(kind=MetricKind.GENEALOGICAL_TREE, weight=4.0, sample_size=5),
+    )
+    run_evolution(config, seed=1000)
+    assert len(pruned) >= 3
+    for live in inputs + pruned:
+        assert _covered(live).tolist() == covered_by_count(live).tolist()
+
+
+def test_covered_columns_memory_is_bounded_by_the_chunk():
+    # Pairing by count would gather 360,000 column pairs of 400 rows here.
+    live = _one_row_reach(np.random.default_rng(24), 400, 600, same_row=True)
+    entries = max(live.size, _CHUNK)  # compared at once, at most
+    pairs = entries // live.shape[0]
+    # Two int32 gathers and one bool mask per entry; the pairs' two index
+    # lists and two index arrays; the reach mask and its packed keys.
+    bound = 9 * entries + 4 * 8 * pairs + 2 * live.size + (1 << 16)
+    tracemalloc.start()
+    try:
+        covered = _covered(live)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    # The earliest of the largest entries covers every other column.
+    assert np.flatnonzero(~covered).tolist() == [int(np.argmax(live[0]))]
 
 
 def test_ancestry_index_columns_stay_flat():
