@@ -162,7 +162,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         raise ConfigError(str(path), "config file not found") from None
     except UnicodeDecodeError:
         raise ConfigError(str(path), "config file is not UTF-8 text") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .genealogy import AncestryIndex
+from .genealogy import AncestryIndex, GenealogyGraph
 from .routing import SettingError, require_integer
 
 
@@ -110,7 +110,7 @@ def _stack_flat(arrays: list) -> np.ndarray:
     return np.stack([a.ravel() for a in arrays]) if arrays else np.zeros((0, 0))
 
 
-def make_distance_fn(kind: MetricKind, index: AncestryIndex | None = None) -> DistanceFn | None:
+def make_distance_fn(kind: MetricKind, graph: GenealogyGraph | None = None) -> DistanceFn | None:
     """Return the :data:`DistanceFn` of ``kind``, or ``None`` for ``NONE``.
 
     Members only need ``genome`` / ``trash`` / ``node`` attributes.  The
@@ -119,10 +119,14 @@ def make_distance_fn(kind: MetricKind, index: AncestryIndex | None = None) -> Di
     :func:`genediv.routing.domain_distance` and
     :func:`genediv.trash_genes.tdist`, so every distance equals theirs bit
     for bit: each domain distance is reduced over one contiguous run of its
-    pair's values, the order ``np.abs(g1 - g2).sum()`` uses.  The
-    genealogical metric reads a table of ``index`` (see
-    :meth:`AncestryIndex.gdist_among`), which later births and retains
-    leave valid.
+    pair's values, the order ``np.abs(g1 - g2).sum()`` uses.
+
+    The genealogical metric reads ``graph`` through an :class:`AncestryIndex`
+    of its own, so build it once per run and call it with the run's pools in
+    order.  Each call drops the tracked nodes that are not among its members,
+    tracks the nodes ``graph`` recorded since the last call, and reads a
+    table of the index (see :meth:`AncestryIndex.gdist_among`).  A call that
+    asks again for a node an earlier call dropped raises :class:`KeyError`.
     """
     if kind is MetricKind.NONE:
         return None
@@ -138,9 +142,15 @@ def make_distance_fn(kind: MetricKind, index: AncestryIndex | None = None) -> Di
             return lambda a, b: np.count_nonzero(t[a] != t[b], axis=-1) / tau
         return trash_bits
     if kind is MetricKind.GENEALOGICAL_TREE:
-        if index is None:
-            raise ValueError("genealogical metric needs an ancestry index")
-        return lambda members: index.gdist_among([m.node for m in members])
+        if graph is None:
+            raise ValueError("genealogical metric needs a genealogy graph")
+        index = AncestryIndex()
+        def genealogical(members: Sequence) -> DistanceReader:
+            nodes = [m.node for m in members]
+            index.retain(nodes)
+            index.follow(graph)
+            return index.gdist_among(nodes)
+        return genealogical
     raise ValueError(f"unknown diversity metric kind: {kind!r}")
 
 

@@ -34,12 +34,13 @@ then the marker operator, and recording and evaluating the child draw
 nothing.  A tournament scores its candidates together and the pool is
 scored at once, each in one :func:`~genediv.diversity.augmented_fitness`
 call whose peer plan consumes the stream exactly as one draw per member
-would, so the order above holds.  A generation builds one distance reader,
-the pool's, when the kind has a metric; its view of the survivors serves the
-trace probe and the next generation's tournaments.  Each read computes only
-the peer distances it selects and draws nothing.  A genealogical run's
-ancestry index takes each generation's births in one update, after the
-immigrants and before the pool's reader is built, and draws nothing.
+would, so the order above holds.  A run builds one distance function, when
+the kind has a metric, and each generation builds one reader with it, the
+pool's; its view of the survivors serves the trace probe and the next
+generation's tournaments.  Each read computes only the peer distances it
+selects and draws nothing.  The genealogical function keeps its own ancestry
+index, which takes the previous survivors and then the generation's births
+when the pool's reader is built, and draws nothing.
 Shaping with the ``none`` kind or a zero weight is inert: no reader is
 passed, so :func:`~genediv.diversity.augmented_fitness` returns the raw
 fitness and draws no peers.  The probe indices, in contrast, are drawn for
@@ -56,6 +57,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .diversity import (
+    DistanceFn,
     DistanceReader,
     DiversityConfig,
     MetricKind,
@@ -64,7 +66,7 @@ from .diversity import (
     make_distance_fn,
     sum_left,
 )
-from .genealogy import AncestryIndex, GenealogyGraph
+from .genealogy import GenealogyGraph
 from .routing import RoutingProblem, SettingError, require_integer
 from .trash_genes import flip_one_bit, random_trash, uniform_cross
 
@@ -153,7 +155,6 @@ class RunResult:
     trace: list[TraceRow]
     graph: GenealogyGraph
     population: list[Individual]
-    individuals: dict[int, Individual] | None = None
 
 
 def _spawner(
@@ -162,14 +163,13 @@ def _spawner(
     rng: np.random.Generator,
     tau: int,
     generation: int = 0,
-    registry: dict[int, Individual] | None = None,
 ) -> Callable[..., Individual]:
     """``spawn(*parents)``: the one way an individual is born, by the birth
     rule above.  No parent makes a random individual, one a mutant and two a
-    recombinant.  It records the child in ``graph``, scores it and files it
-    in ``registry``.  Fitness is a function of the genome alone, so a
-    recombinant whose genome is byte-equal to a parent's takes that parent's
-    raw fitness, which ``problem`` scored at the parent's birth."""
+    recombinant.  It records the child in ``graph`` and scores it.  Fitness
+    is a function of the genome alone, so a recombinant whose genome is
+    byte-equal to a parent's takes that parent's raw fitness, which
+    ``problem`` scored at the parent's birth."""
 
     def spawn(*parents: Individual) -> Individual:
         # The genome operator is evaluated before the marker operator.
@@ -188,10 +188,7 @@ def _spawner(
         node = graph.record_birth([p.node for p in parents], generation)
         if raw is None:
             raw = float(problem.evaluate(genome))
-        child = Individual(node, genome, trash, raw)
-        if registry is not None:
-            registry[node] = child
-        return child
+        return Individual(node, genome, trash, raw)
 
     return spawn
 
@@ -249,18 +246,16 @@ def step_generation(
     rng: np.random.Generator,
     *,
     generation: int = 0,
+    distance_fn: DistanceFn | None = None,
     distances: DistanceReader | None = None,
-    ancestry_index: AncestryIndex | None = None,
-    registry: dict[int, Individual] | None = None,
 ) -> tuple[list[Individual], DistanceReader | None]:
     """Advance one generation; return the survivors and their reader.
 
-    ``distances`` is the population's reader (the previous step's survivors'
-    reader), which a shaped step's tournaments read.  ``generation`` stamps
-    the birth generation of every child created here.  ``ancestry_index``,
-    when given, takes this generation's births in one call before the pool's
-    reader is built (``retain`` the survivors afterwards); the genealogical
-    metric needs one.  ``registry`` collects every individual ever created.
+    ``generation`` stamps the birth generation of every child created here.
+    ``distance_fn`` is the run's :func:`make_distance_fn` of the kind: a
+    metric kind needs it and ``none`` has none.  ``distances`` is the
+    population's reader (the previous step's survivors' reader), which a
+    shaped step's tournaments read.
 
     The one reader built here is the pool's, when the kind has a metric; the
     survivors' is its view ``read(keep[a], keep[b])``, ``keep`` holding their
@@ -271,13 +266,14 @@ def step_generation(
     if n != config.population_size:
         raise ValueError(f"expected population of {config.population_size}, got {n}")
     div = config.diversity
-    distance_fn = make_distance_fn(div.kind, ancestry_index)
+    if (distance_fn is None) != (div.kind is MetricKind.NONE):
+        raise ValueError("a step takes a distance function exactly when its kind has a metric")
     # With a zero weight shaping is inert, so no reader is passed to it.
     shaped = distance_fn is not None and div.weight != 0.0
     if shaped and distances is None:
         raise ValueError("a shaped step needs the population's distance reader")
 
-    spawn = _spawner(graph, problem, rng, config.tau, generation, registry)
+    spawn = _spawner(graph, problem, rng, config.tau, generation)
     offspring: list[Individual] = []
 
     gates = (rng.random(n) < config.mutation_prob).tolist()
@@ -295,8 +291,6 @@ def step_generation(
 
     for _ in range(config.immigrants_per_gen):
         offspring.append(spawn())
-    if ancestry_index is not None:
-        ancestry_index.add_births((c.node, graph.parents(c.node)) for c in offspring)
 
     pool = population + offspring
     read = distance_fn and distance_fn(pool)
@@ -345,22 +339,17 @@ def run_evolution(
     problem: RoutingProblem | None = None,
     *,
     seed: int,
-    keep_all: bool = False,
 ) -> RunResult:
     """Run a full evolution and return trace, genealogy, and final population.
 
-    ``seed`` seeds the run's single random stream.  With ``keep_all`` every
-    individual ever created is retained in ``RunResult.individuals``.
+    ``seed`` seeds the run's single random stream.  The run builds its
+    distance function once and passes it to every step.
     """
     if problem is None:
         problem = RoutingProblem()
     rng = np.random.default_rng(seed)
     population, graph = initialize(config, rng, problem)
-    index = None
-    if config.diversity.kind is MetricKind.GENEALOGICAL_TREE:
-        index = AncestryIndex.from_graph(graph)
-    registry = {ind.node: ind for ind in population} if keep_all else None
-    distance_fn = make_distance_fn(config.diversity.kind, index)
+    distance_fn = make_distance_fn(config.diversity.kind, graph)
     distances = distance_fn and distance_fn(population)
     trace: list[TraceRow] = []
     for gen in range(1, config.generations + 1):
@@ -371,11 +360,8 @@ def run_evolution(
             problem,
             rng,
             generation=gen,
+            distance_fn=distance_fn,
             distances=distances,
-            ancestry_index=index,
-            registry=registry,
         )
-        if index is not None:
-            index.retain(ind.node for ind in population)
         trace.append(_trace_row(gen, population, distances, rng))
-    return RunResult(trace=trace, graph=graph, population=population, individuals=registry)
+    return RunResult(trace=trace, graph=graph, population=population)

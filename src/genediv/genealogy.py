@@ -307,12 +307,13 @@ def write_genealogy_log(graph: GenealogyGraph, path: str | Path) -> None:
 def read_genealogy_log(path: str | Path) -> GenealogyGraph:
     """Rebuild a graph from the format produced by :func:`write_genealogy_log`.
 
-    Each line is parsed, its ``op_kind`` name checked, its id against its
-    position and its parent count against the name, then recorded with
+    Lines end at ``\n`` alone, as the writer ends them.  Each line is
+    parsed, its ``op_kind`` name checked, its id against its position and its
+    parent count against the name, then recorded with
     :meth:`GenealogyGraph.record_birth`, which checks its parents.
     """
     graph = GenealogyGraph()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
@@ -409,18 +410,6 @@ class AncestryIndex:
         self._state = np.full((16, 16 + 64), _UNREACHED, dtype=np.int32)
         self._nodes = np.empty(64, dtype=np.int64)  # column -> node id
 
-    @classmethod
-    def from_graph(cls, graph: GenealogyGraph) -> "AncestryIndex":
-        """Track every node of ``graph``, in batches whose parents precede them."""
-        index, batch = cls(), []
-        for node, _, parents in graph.births():
-            if batch and max(parents, default=-1) >= batch[0][0]:
-                index.add_births(batch)
-                batch = []
-            batch.append((node, parents))
-        index.add_births(batch)
-        return index
-
     def __contains__(self, node: int) -> bool:
         return node in self._rows
 
@@ -478,6 +467,18 @@ class AncestryIndex:
         rows.update(zip(nodes, free))
         self._nodes[w : w + b] = nodes
         self._width, self._count = w + b, self._count + b
+
+    def follow(self, graph: GenealogyGraph) -> None:
+        """Track the nodes ``graph`` recorded after the last one added, in
+        batches whose parents precede them."""
+        batch = []
+        for node in range(self._count, len(graph)):
+            parents = graph.parents(node)
+            if batch and max(parents, default=-1) >= batch[0][0]:
+                self.add_births(batch)
+                batch = []
+            batch.append((node, parents))
+        self.add_births(batch)
 
     def depth(self, node: int) -> int:
         return int(self._depth[self._rows[node]])

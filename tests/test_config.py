@@ -104,6 +104,19 @@ def test_key_set_twice_in_one_file_rejected(tmp_path):
         load_config(path, environ={})
 
 
+def test_lines_end_at_newline_only(tmp_path):
+    # A form feed or a separator character is not a line break, so an error
+    # names the line it is on and the key as written.
+    path = write_cfg(tmp_path, "engine.tau = 8\x0c\n# comment\nengine.tau = 16\n")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(path)
+    assert f"set again on line 3 of {path}" in str(err.value)
+    path = write_cfg(tmp_path, "engine.ta\x1eu = 8\n")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(path)
+    assert err.value.key == "engine.ta\x1eu"
+
+
 def test_malformed_line_rejected(tmp_path):
     path = write_cfg(tmp_path, "engine.population_size 12\n")
     with pytest.raises(ConfigError):

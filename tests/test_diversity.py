@@ -1,6 +1,10 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import genediv.engine
 from genediv.diversity import (
     DiversityConfig,
     MetricKind,
@@ -10,8 +14,8 @@ from genediv.diversity import (
     make_distance_fn,
     sum_left,
 )
-from genediv.engine import EngineConfig, Individual, initialize, step_generation
-from genediv.genealogy import AncestryIndex, GenealogyGraph
+from genediv.engine import EngineConfig, Individual, initialize, run_evolution, step_generation
+from genediv.genealogy import GenealogyGraph
 from genediv.routing import RoutingProblem, domain_distance
 from genediv.trash_genes import tdist
 
@@ -138,8 +142,9 @@ def test_make_distance_fn_dispatch():
     assert read_all(make_distance_fn(MetricKind.TRASH_BITS)(members), 6).tolist() == reference_matrix(
         members, lambda x, y: tdist(x.trash, y.trash)
     )
-    fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, AncestryIndex.from_graph(graph))
-    assert read_all(fn(members[:2]), 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    pair = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph)(members[:2])
+    assert read_all(pair, 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph)
     assert read_all(fn(members), 6).tolist() == reference_matrix(
         members, lambda x, y: graph.gdist(x.node, y.node)
     )
@@ -159,10 +164,44 @@ def test_make_distance_fn_requires_genealogy_source():
         make_distance_fn(MetricKind.GENEALOGICAL_TREE)
 
 
-def test_distance_matrices_match_pairwise_metrics_on_evolved_pools():
-    # Every generation's whole pool (survivors, newborns and immigrants,
-    # before retain) and its survivors (after retain), under every metric:
-    # each matrix entry is the pairwise function's value, bit for bit.  So
+def test_genealogical_fn_reads_the_pools_of_an_evolved_run(monkeypatch):
+    # The pools a shaped run read, fed in order to a fresh function while
+    # its graph grows as the run's did: every pair is the run's gdist.  A
+    # node a call dropped, asked for again, raises KeyError.
+    pools = []
+    make = genediv.engine.make_distance_fn
+
+    def recording(kind, graph):
+        fn = make(kind, graph)
+        return lambda members: pools.append([m.node for m in members]) or fn(members)
+
+    monkeypatch.setattr(genediv.engine, "make_distance_fn", recording)
+    config = EngineConfig(population_size=8, generations=40,
+                          diversity=DiversityConfig(MetricKind.GENEALOGICAL_TREE, 4.0))
+    run = run_evolution(config, seed=45).graph
+    assert len(pools) == config.generations + 1
+
+    graph = GenealogyGraph()
+    fn = make_distance_fn(MetricKind.GENEALOGICAL_TREE, graph)
+    births = run.births()
+    asked_again = 0
+    for previous, pool in zip([[]] + pools, pools):
+        for _, gen, parents in itertools.islice(births, max(pool) + 1 - len(graph)):
+            graph.record_birth(parents, gen)
+        r = np.arange(len(pool))
+        read = fn([SimpleNamespace(node=x) for x in pool])
+        assert read(r[:, None], r).tolist() == [[run.gdist(x, y) for y in pool] for x in pool]
+        for x in set(previous) - set(pool):
+            asked_again += 1
+            with pytest.raises(KeyError):
+                fn([SimpleNamespace(node=y) for y in pool + [x]])
+    assert asked_again > 0
+
+
+def test_distance_matrices_match_pairwise_metrics_on_evolved_pools(born):
+    # Every generation's whole pool (survivors, newborns and immigrants) and
+    # then its survivors, under every metric: each matrix entry is the
+    # pairwise function's value, bit for bit.  So
     # is each entry of the survivors' reader that the step returns, a view
     # of the pool's reader, under each shaping metric in turn.
     problem = RoutingProblem()
@@ -172,8 +211,7 @@ def test_distance_matrices_match_pairwise_metrics_on_evolved_pools():
         config = EngineConfig(population_size=12, diversity=DiversityConfig(shaping, weight))
         rng = np.random.default_rng(44)
         population, graph = initialize(config, rng, problem)
-        index = AncestryIndex.from_graph(graph)
-        fns = {kind: make_distance_fn(kind, index) for kind in MetricKind if kind is not MetricKind.NONE}
+        fns = {kind: make_distance_fn(kind, graph) for kind in MetricKind if kind is not MetricKind.NONE}
         pair_fns = {
             MetricKind.DOMAIN: lambda x, y: domain_distance(x.genome, y.genome),
             MetricKind.TRASH_BITS: lambda x, y: tdist(x.trash, y.trash),
@@ -188,13 +226,12 @@ def test_distance_matrices_match_pairwise_metrics_on_evolved_pools():
 
         distances = fns[shaping](population)
         for gen in range(1, 41):
-            born = {}
+            first = len(born)
             survivors, distances = step_generation(
                 population, graph, config, problem, rng,
-                generation=gen, distances=distances, ancestry_index=index, registry=born,
+                generation=gen, distance_fn=fns[shaping], distances=distances,
             )
-            check(population + list(born.values()))
-            index.retain(ind.node for ind in survivors)
+            check(population + born[first:])
             check(survivors)
             assert read_all(distances, len(survivors)).tolist() == reference_matrix(
                 survivors, pair_fns[shaping]

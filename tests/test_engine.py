@@ -236,36 +236,60 @@ def test_shaped_step_without_a_reader_raises(kind):
     config = small_config(diversity=DiversityConfig(kind, weight=1.0))
     rng = np.random.default_rng(60)
     population, graph = initialize(config, rng, PROBLEM)
-    index = AncestryIndex.from_graph(graph)
+    fn = make_distance_fn(kind, graph)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="reader"):
-        step_generation(population, graph, config, PROBLEM, rng, ancestry_index=index)
+        step_generation(population, graph, config, PROBLEM, rng, distance_fn=fn)
     assert rng.bit_generator.state == state  # rejected before any draw
     inert = dataclasses.replace(config, diversity=DiversityConfig(kind, weight=0.0))
-    survivors, reader = step_generation(population, graph, inert, PROBLEM, rng, ancestry_index=index)
+    survivors, reader = step_generation(population, graph, inert, PROBLEM, rng, distance_fn=fn)
     assert len(survivors) == config.population_size and reader is not None
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_step_takes_a_distance_function_exactly_for_a_metric_kind(kind):
+    # A metric kind's reader is built for the trace probe even at weight 0,
+    # so its step needs the function; the none kind has none to take.
+    config = small_config(diversity=DiversityConfig(kind, weight=0.0))
+    rng = np.random.default_rng(62)
+    population, graph = initialize(config, rng, PROBLEM)
+    fn = make_distance_fn(kind, graph)
+    wrong = make_distance_fn(MetricKind.DOMAIN) if fn is None else None
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="distance function"):
+        step_generation(population, graph, config, PROBLEM, rng, distance_fn=wrong)
+    assert rng.bit_generator.state == state  # rejected before any draw
+    survivors, reader = step_generation(population, graph, config, PROBLEM, rng, distance_fn=fn)
+    assert len(survivors) == config.population_size and (reader is None) == (fn is None)
 
 
 @pytest.mark.parametrize(
     "kind, weight",
     [(MetricKind.DOMAIN, 1.0), (MetricKind.TRASH_BITS, 2.0),
-     (MetricKind.GENEALOGICAL_TREE, 4.0), (MetricKind.DOMAIN, 0.0)],
+     (MetricKind.GENEALOGICAL_TREE, 4.0), (MetricKind.DOMAIN, 0.0), (MetricKind.NONE, 0.0)],
 )
 def test_run_builds_one_reader_per_generation(monkeypatch, kind, weight):
-    # The pool's reader is the generation's one build; the survivors read a
-    # view of it, and the run builds one more for its initial population.
-    builds = []
+    # A run builds its one distance function, the point a wrapper of every
+    # reader sits.  The pool's reader is the generation's one build; the
+    # survivors read a view of it, and the run builds one more for its
+    # initial population.
+    makes, builds = [], []
     make = genediv.engine.make_distance_fn
 
     def counting(*args):
         fn = make(*args)
+        makes.append(args)
         return fn and (lambda members: builds.append(len(members)) or fn(members))
 
     monkeypatch.setattr(genediv.engine, "make_distance_fn", counting)
     config = small_config(diversity=DiversityConfig(kind, weight=weight))
     result = run_evolution(config, PROBLEM, seed=61)
-    assert len(builds) == config.generations + 1
-    assert builds[0] == config.population_size
+    assert [args[0] for args in makes] == [kind]
+    if kind is MetricKind.NONE:
+        assert builds == []
+    else:
+        assert len(builds) == config.generations + 1
+        assert builds[0] == config.population_size
     monkeypatch.undo()
     expected = run_evolution(config, PROBLEM, seed=61)
     assert [r.mean_probe_diversity for r in result.trace] == [
@@ -281,12 +305,13 @@ def test_step_rejects_wrong_population_size():
         step_generation(population[:-1], graph, config, PROBLEM, rng, generation=1)
 
 
-def test_recombination_children_inherit_trash_bitwise():
+def test_recombination_children_inherit_trash_bitwise(born):
     # The parent count picks the operators: a two-parent child mixes its
     # parents, a one-parent child is a single-bit, single-action mutant.
     config = small_config(generations=30)
-    result = run_evolution(config, PROBLEM, seed=0, keep_all=True)
-    graph, individuals = result.graph, result.individuals
+    graph = run_evolution(config, PROBLEM, seed=0).graph
+    individuals = {ind.node: ind for ind in born}
+    assert len(individuals) == len(graph)
     recombinations = [node for node in graph.nodes() if len(graph.parents(node)) == 2]
     mutants = [node for node in graph.nodes() if len(graph.parents(node)) == 1]
     assert recombinations, "expected some recombination births"
@@ -316,12 +341,13 @@ class CountingProblem(RoutingProblem):
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))
-def test_recombinant_that_copies_a_parent_takes_its_fitness(kind):
+def test_recombinant_that_copies_a_parent_takes_its_fitness(kind, born):
     weight = 0.0 if kind is MetricKind.NONE else 1.0
     config = small_config(generations=40, diversity=DiversityConfig(kind, weight))
     problem = CountingProblem()
-    result = run_evolution(config, problem, seed=57, keep_all=True)
-    graph, individuals = result.graph, result.individuals
+    graph = run_evolution(config, problem, seed=57).graph
+    individuals = {ind.node: ind for ind in born}
+    assert len(individuals) == len(graph)
     copies = 0
     for node, ind in individuals.items():
         assert ind.raw_fitness == PROBLEM.evaluate(ind.genome)
@@ -386,16 +412,17 @@ def test_best_fitness_monotone_without_shaping():
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
 
 
-def test_truncation_and_trace_best_tie_to_smaller_node_id():
+def test_truncation_and_trace_best_tie_to_smaller_node_id(born):
     class FlatProblem(RoutingProblem):
         def evaluate(self, genome):
             return 3
 
     config = small_config(population_size=8, generations=1)
-    result = run_evolution(config, FlatProblem(), seed=72, keep_all=True)
-    assert len(result.individuals) > 8  # offspring were born and then dropped
+    result = run_evolution(config, FlatProblem(), seed=72)
+    assert len(born) > 8  # offspring were born and then dropped
     assert [ind.node for ind in result.population] == list(range(8))
-    assert np.array_equal(result.trace[0].best_genome, result.individuals[0].genome)
+    assert born[0].node == 0
+    assert np.array_equal(result.trace[0].best_genome, born[0].genome)
 
 
 def test_zero_weight_variant_replays_baseline_evolution():
@@ -427,7 +454,8 @@ def test_engine_ancestry_index_agrees_with_graph():
     config = small_config(generations=30,
                           diversity=DiversityConfig(MetricKind.GENEALOGICAL_TREE, 1.0))
     result = run_evolution(config, PROBLEM, seed=69)
-    index = AncestryIndex.from_graph(result.graph)
+    index = AncestryIndex()
+    index.follow(result.graph)
     rng = np.random.default_rng(70)
     nodes = [ind.node for ind in result.population]
     for _ in range(100):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -362,6 +363,10 @@ def test_read_log_rejects_bad_lines(tmp_path):
         ("0,0,genesis\n1,0,genesis\n2,0,genesis\n3,1,recombination,0,1,2\n", ValueError,
          "line 4: recombination takes 2 parent(s), got 3"),
         ("0,0,genesis\n1,1,recombination,0,1\n", KeyError, "line 2: unknown parent node id 1"),
+        # Lines end at "\n" alone: a form feed is padding, a separator a character.
+        ("0,0,genesis\n1,0,genesis\x0c\n2,0,genesis,7\n", ValueError,
+         "line 3: genesis takes 0 parent(s), got 1"),
+        ("0,0,genesis\n1,0,gene\x1csis\n", ValueError, "line 2: unknown op kind 'gene\\x1csis'"),
     ],
 )
 def test_read_log_error_names_line_and_field(tmp_path, text, error, message):
@@ -386,17 +391,41 @@ def test_read_log_accepts_padding_and_blank_lines(tmp_path):
 # incremental index
 # ----------------------------------------------------------------------
 
+def following(g):
+    """An index that tracks every node of ``g``."""
+    index = AncestryIndex()
+    index.follow(g)
+    return index
+
+
 def test_ancestry_index_matches_graph_on_random_dags():
     rng = np.random.default_rng(14)
     for _ in range(25):
         g = random_dag(rng, max_nodes=60)
-        index = AncestryIndex.from_graph(g)
+        index = following(g)
         n = len(g)
         for _ in range(40):
             a = int(rng.integers(n))
             b = int(rng.integers(n))
             assert index.gdist(a, b) == g.gdist(a, b)
             assert index.depth(a) == g.depth(a)
+
+
+def test_follow_tracks_the_nodes_recorded_since_the_last():
+    # A random history recorded a few births at a time, followed after each
+    # piece: a parent born in the same piece starts a new batch.
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        whole = random_dag(rng, max_nodes=40)
+        g, index = GenealogyGraph(), AncestryIndex()
+        births = whole.births()
+        while len(g) < len(whole):
+            for _, gen, parents in itertools.islice(births, int(rng.integers(1, 10))):
+                g.record_birth(parents, gen)
+            index.follow(g)
+            _check_every_pair(g, index, list(g.nodes()))
+        index.follow(g)
+        assert index.column_nodes() == list(g.nodes())
 
 
 def test_ancestry_index_requires_birth_order():
@@ -658,7 +687,7 @@ def test_batched_births_equal_single_births_and_the_graph():
 )
 def test_add_births_rejects_a_batch_before_changing_anything(births, error, message):
     g = siblings()
-    index = AncestryIndex.from_graph(g)
+    index = following(g)
     with pytest.raises(error) as err:
         index.add_births(births)
     assert err.value.args == (message,)
@@ -670,7 +699,7 @@ def test_add_births_rejects_a_batch_before_changing_anything(births, error, mess
 
 def test_ancestry_index_retain_keeps_alive_queries_working():
     g = chain(6)
-    index = AncestryIndex.from_graph(g)
+    index = following(g)
     expected = g.gdist(4, 5)
     index.retain([4, 5])
     assert index.gdist(4, 5) == expected
@@ -681,9 +710,10 @@ def test_ancestry_index_retain_keeps_alive_queries_working():
 
 def test_ancestry_index_dropped_node_raises_key_error():
     g = siblings()
-    index = AncestryIndex.from_graph(g)
+    index = following(g)
     index.gdist_among([0, 1])  # a reader holds its own table, not the index
     index.retain([1, 2])
+    index.follow(g)  # a dropped node is not tracked again
     assert index.column_nodes() == [0, 1, 2]  # 0 is dropped as a node, kept as a column
     for query in (
         lambda: index.gdist(0, 1),
@@ -699,7 +729,7 @@ def test_ancestry_index_dropped_node_raises_key_error():
 
 
 def test_ancestry_index_takes_an_empty_batch():
-    index = AncestryIndex.from_graph(GenealogyGraph())
+    index = following(GenealogyGraph())
     index.add_births([])
     index.retain([])
     index.add(0, ())

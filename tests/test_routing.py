@@ -373,23 +373,21 @@ GRID_ARENA = Arena(
 )
 
 
-def evolved_genomes():
-    """Every individual of a short run of each kind."""
-    genomes = []
+def evolved_genomes(born):
+    """Every individual of a short run of each kind, ``born`` recording them."""
     for seed, kind in enumerate(MetricKind):
         weight = 0.0 if kind is MetricKind.NONE else 1.0
         config = EngineConfig(population_size=10, generations=15,
                               diversity=DiversityConfig(kind, weight))
-        result = run_evolution(config, seed=300 + seed, keep_all=True)
-        genomes += [ind.genome for ind in result.individuals.values()]
-    return genomes
+        run_evolution(config, seed=300 + seed)
+    return [ind.genome for ind in born]
 
 
 @pytest.mark.parametrize("step_norm", STEP_NORMS)
-def test_step_loop_matches_reference_walker(step_norm):
+def test_step_loop_matches_reference_walker(step_norm, born):
     rng = np.random.default_rng(27)
     default = RoutingProblem(step_norm=step_norm)
-    for genome in evolved_genomes():
+    for genome in evolved_genomes(born):
         assert_walk_matches_reference(default, genome)
     for _ in range(300):  # clamped in either norm
         assert_walk_matches_reference(default, rng.uniform(-3.0, 3.0, size=(GENOME_LENGTH, 2)))
