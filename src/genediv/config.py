@@ -12,18 +12,20 @@ key is rejected, like an unknown key in the file.
 
 Every error raised here is a :class:`ConfigError` naming the offending key.
 A key whose value a built object checks (the engine, diversity and problem
-settings) is parsed for syntax only here; its range is checked once, by the
-object, when :func:`build_engine_config` or :func:`build_problem` builds it.
+settings) takes its default from that object and is parsed for syntax only
+here; its range is checked once, by the object, when
+:func:`build_engine_config` or :func:`build_problem` builds it.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import astuple
 from pathlib import Path
 
 from .diversity import DiversityConfig, MetricKind
 from .engine import EngineConfig
-from .routing import Arena, Rect, RoutingProblem, SettingError
+from .routing import DEFAULT_ARENA, Arena, Rect, RoutingProblem, SettingError
 
 ENV_PREFIX = "GENEDIV_"
 
@@ -121,30 +123,30 @@ def _parse_lambda_grid(key: str, text: str) -> tuple[float, ...]:
     return values
 
 
-# key -> (parser taking (key, raw-string), default raw-string)
+# key -> (parser taking (key, raw string), typed default)
 _SCHEMA: dict[str, tuple] = {
-    "run.variants": (_parse_variants, "none domain genealogical_tree trash_bits"),
-    "run.base_seed": (_parse_nonneg_int, "1000"),
-    "run.num_seeds": (_parse_positive_int, "10"),
-    "engine.population_size": (_parse_int, "20"),
-    "engine.generations": (_parse_int, "1000"),
-    "engine.mutation_prob": (_parse_float, "0.2"),
-    "engine.crossover_prob": (_parse_float, "0.3"),
-    "engine.tournament_size": (_parse_int, "2"),
-    "engine.immigrants_per_gen": (_parse_int, "2"),
-    "engine.tau": (_parse_int, "32"),
-    "diversity.sample_size": (_parse_int, "5"),
-    "lambda.none": (_parse_nonneg_float, "0.0"),
-    "lambda.domain": (_parse_nonneg_float, "1.0"),
-    "lambda.genealogical_tree": (_parse_nonneg_float, "4.0"),
-    "lambda.trash_bits": (_parse_nonneg_float, "2.0"),
-    "grid.lambdas": (_parse_lambda_grid, ""),
-    "arena.bounds": (_parse_rect, "0.0 0.0 1.0 1.0"),
-    "arena.start": (_parse_point, "0.1 0.5"),
-    "arena.obstacle": (_parse_rect, "0.4 0.0 0.6 0.8"),
-    "arena.goal": (_parse_rect, "0.75 0.3 0.95 0.7"),
-    "mutation.sigma": (_parse_float, "0.1"),
-    "step_norm": (lambda key, text: text, "l1"),
+    "run.variants": (_parse_variants, tuple(MetricKind)),
+    "run.base_seed": (_parse_nonneg_int, 1000),
+    "run.num_seeds": (_parse_positive_int, 10),
+    "engine.population_size": (_parse_int, EngineConfig.population_size),
+    "engine.generations": (_parse_int, EngineConfig.generations),
+    "engine.mutation_prob": (_parse_float, EngineConfig.mutation_prob),
+    "engine.crossover_prob": (_parse_float, EngineConfig.crossover_prob),
+    "engine.tournament_size": (_parse_int, EngineConfig.tournament_size),
+    "engine.immigrants_per_gen": (_parse_int, EngineConfig.immigrants_per_gen),
+    "engine.tau": (_parse_int, EngineConfig.tau),
+    "diversity.sample_size": (_parse_int, DiversityConfig.sample_size),
+    "lambda.none": (_parse_nonneg_float, 0.0),
+    "lambda.domain": (_parse_nonneg_float, 1.0),
+    "lambda.genealogical_tree": (_parse_nonneg_float, 4.0),
+    "lambda.trash_bits": (_parse_nonneg_float, 2.0),
+    "grid.lambdas": (_parse_lambda_grid, ()),
+    "arena.bounds": (_parse_rect, astuple(DEFAULT_ARENA.bounds)),
+    "arena.start": (_parse_point, DEFAULT_ARENA.start),
+    "arena.obstacle": (_parse_rect, astuple(DEFAULT_ARENA.obstacle)),
+    "arena.goal": (_parse_rect, astuple(DEFAULT_ARENA.goal)),
+    "mutation.sigma": (_parse_float, RoutingProblem.sigma),
+    "step_norm": (lambda key, text: text, RoutingProblem.step_norm),
 }
 
 def env_name(key: str) -> str:
@@ -183,18 +185,20 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 def load_config(
     path: str | Path | None = None, environ: dict[str, str] | None = None
 ) -> dict[str, object]:
-    """Resolve the full typed configuration: defaults < file < environment."""
+    """Resolve the full typed configuration: defaults < file < environment.
+    Only the values that the file or the environment sets are parsed."""
     environ = os.environ if environ is None else environ
-    raw = {key: default for key, (_, default) in _SCHEMA.items()}
-    if path is not None:
-        raw.update(read_config_file(path))
+    raw = {} if path is None else read_config_file(path)
     overrides = {env_name(key): key for key in _SCHEMA}
     for name in sorted(environ):
         if name.startswith(ENV_PREFIX):
             if name not in overrides:
                 raise ConfigError(name, "environment variable matches no configuration key")
             raw[overrides[name]] = environ[name].strip()
-    return {key: _SCHEMA[key][0](key, raw[key]) for key in _SCHEMA}
+    return {
+        key: parse(key, raw[key]) if key in raw else default
+        for key, (parse, default) in _SCHEMA.items()
+    }
 
 
 def build_problem(cfg: dict[str, object]) -> RoutingProblem:

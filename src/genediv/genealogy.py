@@ -239,8 +239,8 @@ class GenealogyGraph:
 
         0.0 for identical ids, 1.0 when no common ancestor exists; otherwise
         the latest common ancestor's closeness score divided by the larger of
-        the two family-tree depths (0.0 if both depths are zero).  Always in
-        [0, 1].
+        the two family-tree depths, which is at least 1 (distinct nodes of
+        depth 0 are genesis nodes and share no ancestor).  Always in [0, 1].
         """
         x1 = self._check(x1)
         x2 = self._check(x2)
@@ -249,8 +249,6 @@ class GenealogyGraph:
         closeness, _, depth = self._closest_common(x1, x2)
         if closeness is None:
             return 1.0
-        if depth == 0:
-            return 0.0
         return closeness / depth
 
     def edist_oracle(self, x1: int, x2: int) -> int | float:
@@ -313,30 +311,31 @@ def read_genealogy_log(path: str | Path) -> GenealogyGraph:
     :meth:`GenealogyGraph.record_birth`, which checks its parents.
     """
     graph = GenealogyGraph()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) < 3:
-            raise ValueError(f"line {lineno}: expected 'id,generation,op_kind[,parents...]'")
-        try:
-            node = int(fields[0])
-            generation = int(fields[1])
-            parents = tuple(map(int, fields[3:]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer field ({exc})") from None
-        name, count, n = fields[2], len(parents), len(graph)
-        if name not in _ARITY:
-            raise ValueError(f"line {lineno}: unknown op kind {name!r}")
-        if node != n:
-            raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
-        if count != _ARITY[name]:
-            raise ValueError(f"line {lineno}: {name} takes {_ARITY[name]} parent(s), got {count}")
-        try:
-            graph.record_birth(parents, generation)
-        except KeyError as exc:
-            raise KeyError(f"line {lineno}: {exc.args[0]}") from None
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) < 3:
+                raise ValueError(f"line {lineno}: expected 'id,generation,op_kind[,parents...]'")
+            try:
+                node = int(fields[0])
+                generation = int(fields[1])
+                parents = tuple(map(int, fields[3:]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: non-integer field ({exc})") from None
+            name, count, n = fields[2], len(parents), len(graph)
+            if name not in _ARITY:
+                raise ValueError(f"line {lineno}: unknown op kind {name!r}")
+            if node != n:
+                raise ValueError(f"line {lineno}: node id {node} out of order (expected {n})")
+            if count != _ARITY[name]:
+                raise ValueError(f"line {lineno}: {name} takes {_ARITY[name]} parent(s), got {count}")
+            try:
+                graph.record_birth(parents, generation)
+            except KeyError as exc:
+                raise KeyError(f"line {lineno}: {exc.args[0]}") from None
     return graph
 
 
@@ -409,9 +408,6 @@ class AncestryIndex:
         # column reach nothing: they stand in for a genesis child's parents.
         self._state = np.full((16, 16 + 64), _UNREACHED, dtype=np.int32)
         self._nodes = np.empty(64, dtype=np.int64)  # column -> node id
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._rows
 
     def column_nodes(self) -> list[int]:
         """Node ids of the depth columns, in birth order."""

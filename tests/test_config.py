@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from genediv import MetricKind
+from genediv import DiversityConfig, EngineConfig, MetricKind, RoutingProblem
 from genediv.config import (
     ConfigError,
     DOMAIN_LAMBDA_GRID,
@@ -39,6 +41,25 @@ def test_defaults_load_without_file():
         MetricKind.TRASH_BITS,
     )
     assert cfg["step_norm"] == "l1"
+
+
+def test_defaults_are_the_built_objects_defaults():
+    # The CLI's defaults and run_evolution(EngineConfig()) run the same
+    # experiment on the same problem.
+    cfg = load_config(None, environ={})
+    for kind in MetricKind:
+        diversity = DiversityConfig(kind=kind, weight=cfg[f"lambda.{kind.value}"])
+        assert build_engine_config(cfg, kind) == EngineConfig(diversity=diversity), kind
+    assert build_problem(cfg) == RoutingProblem()
+
+
+def test_shipped_config_sets_the_builtin_defaults():
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "experiment.cfg"
+    from_file = load_config(shipped, environ={})
+    builtin = load_config(None, environ={})
+    assert from_file.keys() == builtin.keys()
+    for key, value in builtin.items():
+        assert from_file[key] == value, key
 
 
 def test_file_values_override_defaults(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import genediv.engine
+from genediv.config import build_engine_config, load_config
 from genediv.diversity import (
     DiversityConfig,
     MetricKind,
@@ -20,7 +21,7 @@ from genediv.engine import (
     tournament_select,
 )
 from genediv.genealogy import AncestryIndex, OpKind
-from genediv.routing import RoutingProblem, SettingError
+from genediv.routing import DEFAULT_ARENA, Rect, RoutingProblem, SettingError
 
 PROBLEM = RoutingProblem()
 
@@ -402,6 +403,43 @@ def test_run_evolution_seed_changes_outcome():
         ra.mean_raw_fitness != rb.mean_raw_fitness or not np.array_equal(ra.best_genome, rb.best_genome)
         for ra, rb in zip(a, b)
     )
+
+
+def _run_recording_the_stream(monkeypatch, config, problem, seed):
+    """The run's trace, the final state of its one generator and the parent
+    count of every birth, in birth order."""
+    made, default_rng = [], np.random.default_rng
+
+    def recording(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        result = run_evolution(config, problem, seed=seed)
+    (rng,) = made
+    counts = [len(parents) for _, _, parents in result.graph.births()]
+    return result.trace, rng.bit_generator.state, counts
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 7])
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_draws_do_not_depend_on_fitness_distances_or_selection(monkeypatch, kind, seed):
+    # Which values the run draws is fixed by the configuration's counts
+    # alone; what it does with them depends on fitness, distances and
+    # selection.  So a consumer added to the run's stream never moves another.
+    shipped = build_engine_config(load_config(None, environ={}), kind)
+    config = dataclasses.replace(shipped, generations=150)
+    moved_goal = RoutingProblem(dataclasses.replace(DEFAULT_ARENA, goal=Rect(0.1, 0.7, 0.3, 0.95)))
+    trace, state, counts = _run_recording_the_stream(monkeypatch, config, PROBLEM, seed)
+    other, *stream = _run_recording_the_stream(monkeypatch, config, moved_goal, seed)
+    assert stream == [state, counts]
+    assert [r.mean_raw_fitness for r in trace] != [r.mean_raw_fitness for r in other]
+    if kind is not MetricKind.NONE:
+        weight = 3 * config.diversity.weight
+        tripled = dataclasses.replace(config, diversity=dataclasses.replace(config.diversity, weight=weight))
+        _, *stream = _run_recording_the_stream(monkeypatch, tripled, PROBLEM, seed)
+        assert stream == [state, counts]
 
 
 def test_best_fitness_monotone_without_shaping():
