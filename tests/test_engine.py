@@ -427,7 +427,8 @@ def _run_recording_the_stream(monkeypatch, config, problem, seed):
 def test_draws_do_not_depend_on_fitness_distances_or_selection(monkeypatch, kind, seed):
     # Which values the run draws is fixed by the configuration's counts
     # alone; what it does with them depends on fitness, distances and
-    # selection.  So a consumer added to the run's stream never moves another.
+    # selection.  So a variant that changes only what selection sees (the
+    # goal, λ, a relabelled distance) draws what its reference run draws.
     shipped = build_engine_config(load_config(None, environ={}), kind)
     config = dataclasses.replace(shipped, generations=150)
     moved_goal = RoutingProblem(dataclasses.replace(DEFAULT_ARENA, goal=Rect(0.1, 0.7, 0.3, 0.95)))
