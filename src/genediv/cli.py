@@ -28,13 +28,9 @@ from .config import (
     seeds_from,
 )
 from .diversity import MetricKind
-from .experiment import (
-    ExperimentSpec,
-    dump_genealogy,
-    format_real,
-    grid_search,
-    run_experiment,
-)
+from .engine import run_evolution
+from .experiment import ExperimentSpec, format_real, grid_search, run_experiment
+from .genealogy import write_genealogy_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,8 +87,10 @@ def _cmd_dump_genealogy(args: argparse.Namespace) -> int:
         kind = parse_metric_kind("variant", args.variant)
     if args.seed < 0:
         raise ConfigError("seed", f"expected an integer >= 0, got {args.seed}")
-    engine = build_engine_config(cfg, kind)
-    path = dump_genealogy(engine, build_problem(cfg), args.seed, args.out)
+    result = run_evolution(build_engine_config(cfg, kind), build_problem(cfg), seed=args.seed)
+    path = Path(args.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_genealogy_log(result.graph, path)
     print(f"wrote {path}")
     return EXIT_OK
 

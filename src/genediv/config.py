@@ -13,12 +13,13 @@ key is rejected, like an unknown key in the file.
 Every error raised here is a :class:`ConfigError` naming the offending key.
 A key whose value a built object checks (the engine, diversity and problem
 settings) takes its default from that object and is parsed for syntax only
-here; its range is checked once, by the object, when
+here; its range, finiteness included, is checked once, by the object, when
 :func:`build_engine_config` or :func:`build_problem` builds it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import astuple
 from pathlib import Path
@@ -52,12 +53,9 @@ def _parse_int(key: str, text: str) -> int:
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ConfigError(key, f"expected a finite number, got {text!r}")
-    return value
 
 
 def _bounded(parse, within, expected: str):
@@ -75,7 +73,7 @@ def _bounded(parse, within, expected: str):
 
 _parse_positive_int = _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1")
 _parse_nonneg_int = _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0")
-_parse_nonneg_float = _bounded(_parse_float, lambda v: v >= 0.0, "a number >= 0")
+_parse_nonneg_float = _bounded(_parse_float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
 def _parse_floats(key: str, text: str, count: int) -> tuple[float, ...]:
@@ -156,29 +154,29 @@ def env_name(key: str) -> str:
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Parse a ``key = value`` file into raw strings, validating key names;
-    each key appears at most once per file."""
+    each key appears at most once per file.  Lines end at ``\n`` alone."""
     raw: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            for lineno, line in enumerate(lines, 1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError(
+                        f"{path}:{lineno}", f"expected 'key = value', got {stripped!r}"
+                    )
+                key, _, value = stripped.partition("=")
+                key = key.strip()
+                if key not in _SCHEMA:
+                    raise ConfigError(key, "unknown configuration key")
+                if key in raw:
+                    raise ConfigError(key, f"set again on line {lineno} of {path}")
+                raw[key] = value.strip()
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found") from None
     except UnicodeDecodeError:
         raise ConfigError(str(path), "config file is not UTF-8 text") from None
-    for lineno, line in enumerate(text.split("\n"), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(
-                f"{path}:{lineno}", f"expected 'key = value', got {stripped!r}"
-            )
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(key, "unknown configuration key")
-        if key in raw:
-            raise ConfigError(key, f"set again on line {lineno} of {path}")
-        raw[key] = value.strip()
     return raw
 
 
@@ -222,7 +220,7 @@ def build_engine_config(
     cfg: dict[str, object], kind: MetricKind = MetricKind.NONE
 ) -> EngineConfig:
     """Assemble an :class:`EngineConfig` for one variant, weighted by
-    ``lambda.<kind>`` (the baseline ignores ``lambda.none``: its weight is 0)."""
+    ``lambda.<kind>`` (``none`` has no distance, so its weight never acts)."""
     try:
         return EngineConfig(
             population_size=cfg["engine.population_size"],
@@ -234,7 +232,7 @@ def build_engine_config(
             tau=cfg["engine.tau"],
             diversity=DiversityConfig(
                 kind=kind,
-                weight=0.0 if kind is MetricKind.NONE else cfg[f"lambda.{kind.value}"],
+                weight=cfg[f"lambda.{kind.value}"],
                 sample_size=cfg["diversity.sample_size"],
             ),
         )

@@ -17,9 +17,10 @@ computes only the pairs its index arrays select, so scoring a pool of ``M``
 members against ``k`` peers each costs ``M * k`` pairs at any population
 size; the genealogical reader reads a table the index builds for it.
 
-With the ``none`` kind or a zero weight shaping is inert: the engine then
-passes no reader, and ``augmented_fitness(..., distances=None)`` returns the
-raw fitness and draws no peers (see :mod:`genediv.engine`).
+:func:`augmented_fitness` alone decides when shaping is inert: with no
+reader, no other member or a zero weight it returns the raw fitness and
+draws no peers.  The ``none`` kind has no distance function, so the engine
+has no reader to pass and its weight never acts (see :mod:`genediv.engine`).
 
 :func:`augmented_fitness` scores several members in one call: it draws all
 their peer sets in one plan (:func:`draw_peer_sets`), which consumes the
@@ -223,11 +224,12 @@ def augmented_fitness(
     :func:`draw_peer_sets`), so one call consumes the stream exactly as one
     call per index would; the ``len(indices) * k`` peer distances are read in
     one call of the reader, and summed by :func:`sum_left`.  Shaping is inert
-    with no reader (``distances=None``) or no other member: the raw fitness
-    comes back as a float, nothing is drawn and nothing is read.
+    with no reader (``distances=None``), no other member or a zero weight:
+    the raw fitness comes back as a float, nothing is drawn and nothing is
+    read.  This is the one place that decides it.
     """
     k = min(config.sample_size, len(pool) - 1)
-    if distances is None or k == 0:
+    if distances is None or k == 0 or config.weight == 0.0:
         return [float(pool[i].raw_fitness) for i in indices]
     rows = np.asarray(indices, dtype=np.intp)
     peers = np.array(draw_peer_sets(rng, len(pool), k, indices), dtype=np.intp)

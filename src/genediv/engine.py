@@ -41,11 +41,13 @@ generation's tournaments.  Each read computes only the peer distances it
 selects and draws nothing.  The genealogical function keeps its own ancestry
 index, which takes the previous survivors and then the generation's births
 when the pool's reader is built, and draws nothing.
-Shaping with the ``none`` kind or a zero weight is inert: no reader is
-passed, so :func:`~genediv.diversity.augmented_fitness` returns the raw
-fitness and draws no peers.  The probe indices, in contrast, are drawn for
-every metric kind -- including ``none`` -- so runs that differ only in an
-inert diversity setting replay the exact same evolution.
+Whether shaping is inert is decided by
+:func:`~genediv.diversity.augmented_fitness` alone: with no reader, no other
+member or a zero weight it returns the raw fitness and draws no peers.  The
+``none`` kind has no distance function, so no reader is passed and its
+weight never acts.  The probe indices, in contrast, are drawn for every
+metric kind -- including ``none`` -- so runs that differ only in an inert
+diversity setting replay the exact same evolution.
 """
 
 from __future__ import annotations
@@ -268,9 +270,7 @@ def step_generation(
     div = config.diversity
     if (distance_fn is None) != (div.kind is MetricKind.NONE):
         raise ValueError("a step takes a distance function exactly when its kind has a metric")
-    # With a zero weight shaping is inert, so no reader is passed to it.
-    shaped = distance_fn is not None and div.weight != 0.0
-    if shaped and distances is None:
+    if distance_fn is not None and div.weight != 0.0 and distances is None:
         raise ValueError("a shaped step needs the population's distance reader")
 
     spawn = _spawner(graph, problem, rng, config.tau, generation)
@@ -284,9 +284,7 @@ def step_generation(
     gates = (rng.random(n) < config.crossover_prob).tolist()
     for i in range(n):
         if gates[i] and n > 1:
-            partner = tournament_select(
-                population, i, config.tournament_size, div, rng, distances if shaped else None
-            )
+            partner = tournament_select(population, i, config.tournament_size, div, rng, distances)
             offspring.append(spawn(population[i], partner))
 
     for _ in range(config.immigrants_per_gen):
@@ -294,7 +292,7 @@ def step_generation(
 
     pool = population + offspring
     read = distance_fn and distance_fn(pool)
-    scores = augmented_fitness(pool, range(len(pool)), div, rng, read if shaped else None)
+    scores = augmented_fitness(pool, range(len(pool)), div, rng, read)
     ranked = sorted(_ranked(scores, pool, range(len(pool))))[: config.population_size]
     survivors = [pool[i] for _, _, i in ranked]
     if read is None:

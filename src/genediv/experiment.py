@@ -41,7 +41,6 @@ from typing import Iterator
 from .config import ConfigError
 from .diversity import sum_left
 from .engine import EngineConfig, TraceRow, run_evolution
-from .genealogy import write_genealogy_log
 from .routing import RoutingProblem
 
 RAW_HEADER = "variant,seed,generation,mean_raw_fitness,best_raw_fitness,mean_probe_diversity"
@@ -241,17 +240,3 @@ def grid_search(spec: ExperimentSpec, jobs: int | None = None) -> GridResult:
     path = out_dir / f"grid_{kinds.pop()}.csv"
     _write_lines(path, lines)
     return GridResult(rows=rows, best_lambda=best_lambda, path=path)
-
-
-def dump_genealogy(
-    engine: EngineConfig,
-    problem: RoutingProblem,
-    seed: int,
-    output_path: str | Path,
-) -> Path:
-    """Run one evolution and write its full ancestry log to ``output_path``."""
-    result = run_evolution(engine, problem, seed=seed)
-    path = Path(output_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_genealogy_log(result.graph, path)
-    return path

@@ -186,33 +186,18 @@ class GenealogyGraph:
         d1, depth1, _ = self._search(x1)
         d2, depth2, _ = self._search(x2)
         depth = max(depth1, depth2)
-        # Each map is in breadth-first order, so the first common node of
-        # either side is one of that side's closest; only the nodes of the
-        # closest level can tie.
-        common1 = filter(d2.__contains__, d1)
-        a = next(common1, None)
-        if a is None:
-            return None, None, depth
-        common2 = filter(d1.__contains__, d2)
-        b = next(common2)
-        c1, c2 = d1[a], d2[b]
-        if c1 <= c2:
-            best, node = c1, a
-            for x in common1:
-                if d1[x] != best:
+        # Each map is in breadth-first order, so each side's common nodes
+        # come closest level first; a side's scan ends past the best level.
+        best, node = INFINITE, None
+        for mine, other in ((d1, d2), (d2, d1)):
+            for x in filter(other.__contains__, mine):
+                c = mine[x]
+                if c > best:
                     break
-                if x < node:
-                    node = x
-        if c2 <= c1:
-            if c2 < c1:
-                best, node = c2, b
-            elif b < node:
-                node = b
-            for x in common2:
-                if d2[x] != best:
-                    break
-                if x < node:
-                    node = x
+                if c < best or x < node:
+                    best, node = c, x
+            if node is None:  # the other side has no common node either
+                return None, None, depth
         return best, node, depth
 
     def latest_common_ancestor(self, x1: int, x2: int) -> int | None:

@@ -1,11 +1,12 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import genediv.cli
 from genediv.cli import main
-from genediv import read_genealogy_log
+from genediv import EngineConfig, RoutingProblem, read_genealogy_log, run_evolution
 
 TINY_CFG = """
 engine.population_size = 8
@@ -221,6 +222,45 @@ def test_dump_genealogy_variant_flag(tmp_path):
     assert out.exists()
 
 
+def test_dump_fresh_population_is_all_genesis(tmp_path):
+    cfg = write_cfg(tmp_path, "engine.population_size = 20\nengine.generations = 0\n")
+    out = tmp_path / "not" / "made" / "g.log"  # the command makes the directory
+    assert main(["dump-genealogy", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 20
+    assert all(line.endswith(",genesis") for line in lines)
+
+
+def test_dump_round_trip_preserves_distances(tmp_path):
+    cfg = write_cfg(tmp_path, "engine.population_size = 8\nengine.generations = 15\n")
+    out = tmp_path / "g.log"
+    assert main(["dump-genealogy", "--config", cfg, "--seed", "6", "--out", str(out)]) == 0
+    reloaded = read_genealogy_log(out)
+    engine = EngineConfig(population_size=8, generations=15)
+    reference = run_evolution(engine, RoutingProblem(), seed=6)
+    assert len(reloaded) == len(reference.graph)
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        a = int(rng.integers(len(reloaded)))
+        b = int(rng.integers(len(reloaded)))
+        assert reloaded.gdist(a, b) == reference.graph.gdist(a, b)
+
+
+def test_baseline_weight_never_acts(tmp_path, monkeypatch):
+    # lambda.none weighs the baseline, which has no distance to weigh.
+    monkeypatch.setenv("GENEDIV_ENGINE_GENERATIONS", "200")
+    monkeypatch.setenv("GENEDIV_RUN_NUM_SEEDS", "2")
+    monkeypatch.setenv("GENEDIV_RUN_VARIANTS", "none")
+    written = []
+    for weight in ("0.0", "3.0"):
+        monkeypatch.setenv("GENEDIV_LAMBDA_NONE", weight)
+        out = tmp_path / weight
+        assert main(["run", "--out", str(out), "--jobs", "1"]) == 0
+        written.append((out / "raw_none.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + 2 * 200
+
+
 def test_grid_zero_generations_names_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_CFG + "engine.generations = 0\n")
     out = tmp_path / "o"
@@ -246,10 +286,14 @@ def test_dump_genealogy_negative_seed_names_key(tmp_path, capsys):
 
 
 def test_non_utf8_config_exits_1(tmp_path, capsys):
+    # The file is decoded as it is read, so a bad byte past the first
+    # buffer surfaces mid-file and still names the file.
     cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"engine.generations = \xff\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert str(cfg) in capsys.readouterr().err
+    for text in (b"engine.generations = \xff\n", b"# padding\n" * 2000 + b"engine.tau = \xff\n"):
+        cfg.write_bytes(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "not UTF-8" in err
 
 
 def test_internal_value_error_propagates(tmp_path, monkeypatch):

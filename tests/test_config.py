@@ -136,6 +136,15 @@ def test_lines_end_at_newline_only(tmp_path):
     with pytest.raises(ConfigError) as err:
         read_config_file(path)
     assert err.value.key == "engine.ta\x1eu"
+    # A lone carriage return is not a line break either: this is one line,
+    # whose value is not an integer.
+    path = write_cfg(tmp_path, "engine.tau = 8\rengine.generations = 5\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path, environ={})
+    assert err.value.key == "engine.tau"
+    path = write_cfg(tmp_path, "engine.tau = 8\r\nengine.generations = 5\r\n")
+    cfg = load_config(path, environ={})
+    assert (cfg["engine.tau"], cfg["engine.generations"]) == (8, 5)
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -166,6 +175,16 @@ def test_missing_file_rejected(tmp_path):
         "grid.lambdas = 0.5 0.25",
         "grid.lambdas = -1.0 0.5",
         "lambda.domain = -0.5",
+        # Non-finite numbers: the lambda parser rejects them, the built
+        # objects reject them for the keys they own.
+        "lambda.none = inf",
+        "lambda.trash_bits = nan",
+        "grid.lambdas = 0.5 inf",
+        "engine.mutation_prob = nan",
+        "engine.crossover_prob = -inf",
+        "mutation.sigma = inf",
+        "arena.start = nan 0.5",
+        "arena.goal = 0.75 0.3 inf 0.7",
     ],
 )
 def test_bad_values_rejected(tmp_path, line):
@@ -223,11 +242,12 @@ def test_build_engine_config_per_variant():
     assert baseline.diversity.kind is MetricKind.NONE
     assert baseline.diversity.weight == 0.0
 
-    # The baseline ignores lambda.none.
+    # The baseline is weighted by lambda.none like any variant; with no
+    # distance its weight never acts (test_cli pins the bytes).
     cfg = load_config(None, environ={"GENEDIV_LAMBDA_NONE": "3.0"})
     assert cfg["lambda.none"] == 3.0
-    assert build_engine_config(cfg, MetricKind.NONE).diversity.weight == 0.0
-    assert build_engine_config(cfg).diversity.weight == 0.0
+    assert build_engine_config(cfg, MetricKind.NONE).diversity.weight == 3.0
+    assert build_engine_config(cfg).diversity.weight == 3.0
 
 
 def test_build_engine_config_cross_field_check(tmp_path):

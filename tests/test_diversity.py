@@ -395,6 +395,22 @@ def test_augmented_fitness_without_distances_is_raw():
     assert rng.bit_generator.state == state
 
 
+def test_augmented_fitness_with_zero_weight_is_raw():
+    # A zero weight is inert even with a real reader: nothing is drawn, so a
+    # zero-weight variant replays the baseline's stream.
+    population = make_population(np.random.default_rng(51), size=6)
+    population[3].raw_fitness = 3
+    rng = np.random.default_rng(52)
+    state = rng.bit_generator.state
+    for kind in (MetricKind.DOMAIN, MetricKind.TRASH_BITS):
+        config = DiversityConfig(kind, weight=0.0, sample_size=3)
+        distances = make_distance_fn(kind)(population)
+        shaped = augmented_fitness(population, [3, 0, 5, 3], config, rng, distances)
+        assert shaped == [3.0, 0.0, 5.0, 3.0]
+        assert all(type(x) is float for x in shaped)
+    assert rng.bit_generator.state == state
+
+
 def test_diversity_config_validation():
     DiversityConfig(MetricKind.DOMAIN, 0.5, 5)
     with pytest.raises(ValueError):

@@ -15,12 +15,10 @@ from genediv.experiment import (
     ExperimentSpec,
     _mean_std,
     _worker_count,
-    dump_genealogy,
     format_real,
     grid_search,
     run_experiment,
 )
-from genediv import read_genealogy_log
 from genediv.routing import SettingError
 
 REAL = r"\d+\.\d{6}"
@@ -322,35 +320,6 @@ def test_grid_validates_spec(tmp_path, two_cpus):
             grid_search(spec, jobs=2)
         assert not out.exists()
         assert multiprocessing.active_children() == []
-
-
-# ----------------------------------------------------------------------
-# genealogy dump
-# ----------------------------------------------------------------------
-
-def test_dump_fresh_population_is_all_genesis(tmp_path):
-    engine = EngineConfig(population_size=20, generations=0)
-    path = dump_genealogy(engine, PROBLEM, seed=5, output_path=tmp_path / "g.log")
-    lines = path.read_text().splitlines()
-    assert len(lines) == 20
-    assert all(line.endswith(",genesis") for line in lines)
-
-
-def test_dump_round_trip_preserves_distances(tmp_path):
-    import numpy as np
-
-    from genediv import run_evolution
-
-    engine = tiny_engine(generations=15)
-    path = dump_genealogy(engine, PROBLEM, seed=6, output_path=tmp_path / "g.log")
-    reloaded = read_genealogy_log(path)
-    reference = run_evolution(engine, PROBLEM, seed=6)
-    assert len(reloaded) == len(reference.graph)
-    rng = np.random.default_rng(0)
-    for _ in range(60):
-        a = int(rng.integers(len(reloaded)))
-        b = int(rng.integers(len(reloaded)))
-        assert reloaded.gdist(a, b) == reference.graph.gdist(a, b)
 
 
 def test_mean_std_sums_left_to_right():
