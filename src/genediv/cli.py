@@ -37,18 +37,16 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 
 
+def _spec(cfg: dict[str, object], args: argparse.Namespace, variants: list) -> ExperimentSpec:
+    """The batch of ``variants`` over the configured seeds and problem, written to ``--out``."""
+    return ExperimentSpec(variants, seeds_from(cfg), build_problem(cfg), Path(args.out))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    problem = build_problem(cfg)
     variants = [(kind.value, build_engine_config(cfg, kind)) for kind in cfg["run.variants"]]
-    spec = ExperimentSpec(
-        variants=variants,
-        seeds=seeds_from(cfg),
-        problem=problem,
-        output_path=Path(args.out),
-    )
-    result = run_experiment(spec, jobs=args.jobs)
-    for name, path in result.raw_paths.items():
+    result = run_experiment(_spec(cfg, args, variants), jobs=args.jobs)
+    for path in result.raw_paths.values():
         print(f"wrote {path}")
     print(f"wrote {result.aggregate_path}")
     return EXIT_OK
@@ -65,13 +63,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         (repr(lam), replace(engine, diversity=replace(engine.diversity, weight=lam)))
         for lam in lambda_grid(cfg, kind)
     ]
-    spec = ExperimentSpec(
-        variants=variants,
-        seeds=seeds_from(cfg),
-        problem=build_problem(cfg),
-        output_path=Path(args.out),
-    )
-    result = grid_search(spec, jobs=args.jobs)
+    result = grid_search(_spec(cfg, args, variants), jobs=args.jobs)
     for lam, mean, std in result.rows:
         print(f"lambda={lam!r} mean_final={format_real(mean)} std={format_real(std)}")
     print(f"best lambda for {kind.value}: {result.best_lambda!r}")
@@ -95,14 +87,6 @@ def _cmd_dump_genealogy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the independent runs, at most one per usable CPU "
-             "(default: one per usable CPU; 1 runs in this process)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genediv",
@@ -110,26 +94,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run all configured variants and write CSVs")
-    p_run.add_argument("--config", default=None, help="path to a key = value config file")
-    p_run.add_argument("--out", required=True, help="output directory for CSV files")
-    _add_jobs(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    def command(name, func, summary, out_help, jobs=True):
+        """A subcommand with the flags every subcommand shares."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--config", default=None, help="path to a key = value config file")
+        p.add_argument("--out", required=True, help=out_help)
+        if jobs:
+            p.add_argument(
+                "--jobs", type=int, default=None,
+                help="worker processes for the independent runs, at most one per usable CPU "
+                     "(default: one per usable CPU; 1 runs in this process)",
+            )
+        return p
 
-    p_grid = sub.add_parser("grid", help="sweep diversity weights for one metric")
-    p_grid.add_argument("--config", default=None, help="path to a key = value config file")
+    command("run", _cmd_run, "run all configured variants and write CSVs",
+            "output directory for CSV files")
+    p_grid = command("grid", _cmd_grid, "sweep diversity weights for one metric",
+                     "output directory for CSV files")
     p_grid.add_argument("--metric", required=True, help="metric kind to sweep")
-    p_grid.add_argument("--out", required=True, help="output directory for CSV files")
-    _add_jobs(p_grid)
-    p_grid.set_defaults(func=_cmd_grid)
-
-    p_dump = sub.add_parser("dump-genealogy", help="run once and write the ancestry log")
-    p_dump.add_argument("--config", default=None, help="path to a key = value config file")
+    p_dump = command("dump-genealogy", _cmd_dump_genealogy, "run once and write the ancestry log",
+                     "output file for the log", jobs=False)
     p_dump.add_argument("--seed", required=True, type=int, help="run seed")
-    p_dump.add_argument("--out", required=True, help="output file for the log")
     p_dump.add_argument("--variant", default=None, help="metric kind to run (default: first configured)")
-    p_dump.set_defaults(func=_cmd_dump_genealogy)
-
     return parser
 
 

@@ -83,14 +83,6 @@ def _parse_floats(key: str, text: str, count: int) -> tuple[float, ...]:
     return tuple(_parse_float(key, p) for p in parts)
 
 
-def _parse_rect(key: str, text: str) -> tuple[float, ...]:
-    return _parse_floats(key, text, 4)
-
-
-def _parse_point(key: str, text: str) -> tuple[float, ...]:
-    return _parse_floats(key, text, 2)
-
-
 def parse_metric_kind(key: str, text: str) -> MetricKind:
     """Parse a metric kind name, raising a :class:`ConfigError` for ``key``."""
     try:
@@ -139,10 +131,10 @@ _SCHEMA: dict[str, tuple] = {
     "lambda.genealogical_tree": (_parse_nonneg_float, 4.0),
     "lambda.trash_bits": (_parse_nonneg_float, 2.0),
     "grid.lambdas": (_parse_lambda_grid, ()),
-    "arena.bounds": (_parse_rect, astuple(DEFAULT_ARENA.bounds)),
-    "arena.start": (_parse_point, DEFAULT_ARENA.start),
-    "arena.obstacle": (_parse_rect, astuple(DEFAULT_ARENA.obstacle)),
-    "arena.goal": (_parse_rect, astuple(DEFAULT_ARENA.goal)),
+    "arena.bounds": (lambda key, text: _parse_floats(key, text, 4), astuple(DEFAULT_ARENA.bounds)),
+    "arena.start": (lambda key, text: _parse_floats(key, text, 2), DEFAULT_ARENA.start),
+    "arena.obstacle": (lambda key, text: _parse_floats(key, text, 4), astuple(DEFAULT_ARENA.obstacle)),
+    "arena.goal": (lambda key, text: _parse_floats(key, text, 4), astuple(DEFAULT_ARENA.goal)),
     "mutation.sigma": (_parse_float, RoutingProblem.sigma),
     "step_norm": (lambda key, text: text, RoutingProblem.step_norm),
 }
@@ -154,10 +146,11 @@ def env_name(key: str) -> str:
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Parse a ``key = value`` file into raw strings, validating key names;
-    each key appears at most once per file.  Lines end at ``\n`` alone."""
+    each key appears at most once per file.  Lines end at ``\n`` alone, and a
+    leading UTF-8 byte-order mark is dropped."""
     raw: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8", newline="\n") as lines:
+        with open(path, encoding="utf-8-sig", newline="\n") as lines:
             for lineno, line in enumerate(lines, 1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -219,26 +212,15 @@ def build_problem(cfg: dict[str, object]) -> RoutingProblem:
 def build_engine_config(
     cfg: dict[str, object], kind: MetricKind = MetricKind.NONE
 ) -> EngineConfig:
-    """Assemble an :class:`EngineConfig` for one variant, weighted by
-    ``lambda.<kind>`` (``none`` has no distance, so its weight never acts)."""
+    """Assemble an :class:`EngineConfig` for one variant: key ``engine.<field>``
+    sets the field of that name, and ``lambda.<kind>`` weighs the metric
+    (``none`` has no distance, so its weight never acts)."""
+    fields = {key.removeprefix("engine."): v for key, v in cfg.items() if key.startswith("engine.")}
+    diversity_keys = {"weight": f"lambda.{kind.value}", "sample_size": "diversity.sample_size"}
     try:
-        return EngineConfig(
-            population_size=cfg["engine.population_size"],
-            generations=cfg["engine.generations"],
-            mutation_prob=cfg["engine.mutation_prob"],
-            crossover_prob=cfg["engine.crossover_prob"],
-            tournament_size=cfg["engine.tournament_size"],
-            immigrants_per_gen=cfg["engine.immigrants_per_gen"],
-            tau=cfg["engine.tau"],
-            diversity=DiversityConfig(
-                kind=kind,
-                weight=cfg[f"lambda.{kind.value}"],
-                sample_size=cfg["diversity.sample_size"],
-            ),
-        )
+        diversity = DiversityConfig(kind, **{name: cfg[key] for name, key in diversity_keys.items()})
+        return EngineConfig(**fields, diversity=diversity)
     except SettingError as exc:
-        # Every other field is set by the engine key of the same name.
-        diversity_keys = {"weight": f"lambda.{kind.value}", "sample_size": "diversity.sample_size"}
         raise ConfigError(diversity_keys.get(exc.field, f"engine.{exc.field}"), str(exc)) from None
 
 

@@ -224,19 +224,12 @@ def grid_search(spec: ExperimentSpec, jobs: int | None = None) -> GridResult:
         raise ConfigError("engine.generations", "grid search needs at least one generation")
     out_dir, done = _run_batch(spec, jobs)
 
-    rows: list[tuple[float, float, float]] = []
-    best_lambda = lambdas[0]
-    best_mean = -math.inf
-    lines = [GRID_HEADER]
-    for lam in lambdas:
-        finals = [next(done)[-1].mean_raw_fitness for _ in spec.seeds]
-        mean, std = _mean_std(finals)
-        rows.append((lam, mean, std))
-        lines.append(f"{format_real(lam)},{format_real(mean)},{format_real(std)}")
-        if mean > best_mean:  # ties keep the earlier (smaller) weight
-            best_mean = mean
-            best_lambda = lam
-
+    rows = [
+        (lam, *_mean_std([next(done)[-1].mean_raw_fitness for _ in spec.seeds]))
+        for lam in lambdas
+    ]
     path = out_dir / f"grid_{kinds.pop()}.csv"
-    _write_lines(path, lines)
+    _write_lines(path, [GRID_HEADER, *(",".join(map(format_real, row)) for row in rows)])
+    # max keeps the first of equal means: ties go to the smaller weight.
+    best_lambda = max(rows, key=lambda row: row[1])[0]
     return GridResult(rows=rows, best_lambda=best_lambda, path=path)

@@ -122,7 +122,14 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["run"], ["run", "--out", "o", "--jobs", "two"]], ids=["no-out", "jobs-not-int"]
+    "argv",
+    [
+        ["run"],
+        ["run", "--out", "o", "--jobs", "two"],
+        ["grid", "--out", "o"],
+        ["dump-genealogy", "--out", "o"],
+    ],
+    ids=["no-out", "jobs-not-int", "grid-no-metric", "dump-no-seed"],
 )
 def test_usage_error_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -130,8 +137,44 @@ def test_usage_error_exits_2(tmp_path, monkeypatch, capsys, argv):
         main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "usage: genediv run" in err
+    assert out == "" and f"usage: genediv {argv[0]}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+CONFIG_HELP = ("--config", "path to a key = value config file")
+JOBS_HELP = (
+    "--jobs",
+    "worker processes for the independent runs, at most one per usable CPU "
+    "(default: one per usable CPU; 1 runs in this process)",
+)
+FLAG_HELP = {
+    "run": [CONFIG_HELP, ("--out", "output directory for CSV files"), JOBS_HELP],
+    "grid": [
+        CONFIG_HELP,
+        ("--metric", "metric kind to sweep"),
+        ("--out", "output directory for CSV files"),
+        JOBS_HELP,
+    ],
+    "dump-genealogy": [
+        CONFIG_HELP,
+        ("--seed", "run seed"),
+        ("--out", "output file for the log"),
+        ("--variant", "metric kind to run (default: first configured)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_HELP))
+def test_help_lists_each_flag_with_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    listed = {word for word in text.split() if word.startswith("--")} - {"--help"}
+    assert listed == {flag for flag, _ in FLAG_HELP[command]}
+    words = " ".join(text.split())  # the help wraps at the terminal width
+    for flag, help_text in FLAG_HELP[command]:
+        assert f"{flag} {flag[2:].upper()} {help_text}" in words, flag
 
 
 def test_grid_subcommand(tmp_path, capsys):

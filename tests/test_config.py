@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,16 @@ def test_lines_end_at_newline_only(tmp_path):
     assert (cfg["engine.tau"], cfg["engine.generations"]) == (8, 5)
 
 
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    # Some editors start a UTF-8 file with a byte-order mark and end its
+    # lines with CRLF.
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfengine.generations = 5\r\nengine.tau = 8\n")
+    assert read_config_file(path) == {"engine.generations": "5", "engine.tau": "8"}
+    cfg = load_config(path, environ={})
+    assert (cfg["engine.generations"], cfg["engine.tau"]) == (5, 8)
+
+
 def test_malformed_line_rejected(tmp_path):
     path = write_cfg(tmp_path, "engine.population_size 12\n")
     with pytest.raises(ConfigError):
@@ -248,6 +259,13 @@ def test_build_engine_config_per_variant():
     assert cfg["lambda.none"] == 3.0
     assert build_engine_config(cfg, MetricKind.NONE).diversity.weight == 3.0
     assert build_engine_config(cfg).diversity.weight == 3.0
+
+
+def test_engine_keys_are_the_engine_fields():
+    # build_engine_config sets each field from the engine key of its name.
+    keys = [key for key in load_config(None, environ={}) if key.startswith("engine.")]
+    names = [f.name for f in fields(EngineConfig) if f.name != "diversity"]
+    assert keys == [f"engine.{name}" for name in names]
 
 
 def test_build_engine_config_cross_field_check(tmp_path):

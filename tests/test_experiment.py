@@ -304,6 +304,16 @@ def test_grid_report_shape_and_argmax(tmp_path):
         assert pattern.match(line), line
 
 
+def test_grid_ties_go_to_the_smallest_weight(tmp_path, monkeypatch):
+    trace = run_experiment(tiny_spec(tmp_path / "e")).traces[("none", 3)]
+    monkeypatch.setattr(genediv.experiment, "_run_trace", lambda engine, problem, seed: trace)
+    lambdas = [0.1, 0.5, 1.0]
+    grid = grid_search(grid_spec(tmp_path / "g", lambdas), jobs=1)
+    assert len({row[1:] for row in grid.rows}) == 1
+    assert grid.best_lambda == 0.1
+    assert len(grid.path.read_text().splitlines()) == 1 + len(lambdas)
+
+
 def test_grid_validates_spec(tmp_path, two_cpus):
     out = tmp_path / "out"
     mixed = tiny_spec(out, [("a", MetricKind.DOMAIN, 0.1), ("b", MetricKind.TRASH_BITS, 0.5)])
