@@ -1,9 +1,12 @@
 """Flat ``key = value`` run configuration with environment overrides.
 
-The configuration file is line-oriented: blank lines and ``#`` comments are
-ignored, every other line must be ``key = value`` with a dotted key from the
-documented key table (see README).  Precedence, lowest to highest: built-in
-defaults, config file, environment variables, command-line flags.
+The configuration file is line-oriented: blank lines and ``#`` comment lines
+are ignored, every other line must be ``key = value`` with a dotted key from
+the documented key table (see README).  A comment takes its whole line: a
+``#`` after a value is part of the value.  Precedence, lowest to highest:
+built-in defaults, config file, environment variables, command-line flags;
+the one flag that overrides a key is ``dump-genealogy --variant``, which
+replaces the first entry of ``run.variants``.
 
 Environment overrides use the ``GENEDIV_`` prefix with dots mapped to
 underscores and upper-casing, e.g. ``engine.population_size`` becomes
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .diversity import DiversityConfig, MetricKind
@@ -118,13 +121,11 @@ _SCHEMA: dict[str, tuple] = {
     "run.variants": (_parse_variants, tuple(MetricKind)),
     "run.base_seed": (_parse_nonneg_int, 1000),
     "run.num_seeds": (_parse_positive_int, 10),
-    "engine.population_size": (_parse_int, EngineConfig.population_size),
-    "engine.generations": (_parse_int, EngineConfig.generations),
-    "engine.mutation_prob": (_parse_float, EngineConfig.mutation_prob),
-    "engine.crossover_prob": (_parse_float, EngineConfig.crossover_prob),
-    "engine.tournament_size": (_parse_int, EngineConfig.tournament_size),
-    "engine.immigrants_per_gen": (_parse_int, EngineConfig.immigrants_per_gen),
-    "engine.tau": (_parse_int, EngineConfig.tau),
+    **{
+        f"engine.{f.name}": (_parse_int if isinstance(f.default, int) else _parse_float, f.default)
+        for f in fields(EngineConfig)
+        if f.name != "diversity"
+    },
     "diversity.sample_size": (_parse_int, DiversityConfig.sample_size),
     "lambda.none": (_parse_nonneg_float, 0.0),
     "lambda.domain": (_parse_nonneg_float, 1.0),
@@ -215,11 +216,11 @@ def build_engine_config(
     """Assemble an :class:`EngineConfig` for one variant: key ``engine.<field>``
     sets the field of that name, and ``lambda.<kind>`` weighs the metric
     (``none`` has no distance, so its weight never acts)."""
-    fields = {key.removeprefix("engine."): v for key, v in cfg.items() if key.startswith("engine.")}
+    settings = {key.removeprefix("engine."): v for key, v in cfg.items() if key.startswith("engine.")}
     diversity_keys = {"weight": f"lambda.{kind.value}", "sample_size": "diversity.sample_size"}
     try:
         diversity = DiversityConfig(kind, **{name: cfg[key] for name, key in diversity_keys.items()})
-        return EngineConfig(**fields, diversity=diversity)
+        return EngineConfig(**settings, diversity=diversity)
     except SettingError as exc:
         raise ConfigError(diversity_keys.get(exc.field, f"engine.{exc.field}"), str(exc)) from None
 

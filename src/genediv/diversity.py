@@ -85,11 +85,7 @@ class DiversityConfig:
             raise SettingError(
                 "weight", f"diversity weight must be finite and >= 0, got {self.weight}"
             )
-        require_integer("sample_size", self.sample_size)
-        if self.sample_size < 1:
-            raise SettingError(
-                "sample_size", f"diversity sample size must be >= 1, got {self.sample_size}"
-            )
+        require_integer("sample_size", self.sample_size, 1)
 
 
 DistanceReader = Callable[[np.ndarray, np.ndarray], np.ndarray]

@@ -74,6 +74,12 @@ from .trash_genes import flip_one_bit, random_trash, uniform_cross
 
 PROBE_SIZE = 5
 
+# Each count of EngineConfig and the least value it takes.
+_COUNTS = (
+    ("population_size", 1), ("generations", 0), ("tournament_size", 1),
+    ("immigrants_per_gen", 0), ("tau", 1),
+)
+
 
 @dataclass(eq=False)
 class Individual:
@@ -104,35 +110,18 @@ class EngineConfig:
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
     def __post_init__(self) -> None:
-        for name in ("population_size", "generations", "tournament_size", "immigrants_per_gen", "tau"):
-            require_integer(name, getattr(self, name))
-        if self.population_size < 1:
-            raise SettingError(
-                "population_size", f"population_size must be >= 1, got {self.population_size}"
-            )
-        if self.generations < 0:
-            raise SettingError("generations", f"generations must be >= 0, got {self.generations}")
+        for name, at_least in _COUNTS:
+            require_integer(name, getattr(self, name), at_least)
         for name in ("mutation_prob", "crossover_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise SettingError(name, f"{name} must be in [0, 1], got {p}")
-        if self.tournament_size < 1:
-            raise SettingError(
-                "tournament_size", f"tournament_size must be >= 1, got {self.tournament_size}"
-            )
-        if self.immigrants_per_gen < 0:
-            raise SettingError(
-                "immigrants_per_gen",
-                f"immigrants_per_gen must be >= 0, got {self.immigrants_per_gen}",
-            )
         if self.population_size <= self.immigrants_per_gen:
             raise SettingError(
                 "immigrants_per_gen",
                 "population_size must exceed immigrants_per_gen "
                 f"({self.population_size} <= {self.immigrants_per_gen})",
             )
-        if self.tau < 1:
-            raise SettingError("tau", f"tau must be >= 1, got {self.tau}")
 
 
 @dataclass(frozen=True, eq=False)

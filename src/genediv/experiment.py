@@ -32,7 +32,6 @@ byte for byte.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +40,7 @@ from typing import Iterator
 from .config import ConfigError
 from .diversity import sum_left
 from .engine import EngineConfig, TraceRow, run_evolution
-from .routing import RoutingProblem
+from .routing import RoutingProblem, SettingError, require_integer
 
 RAW_HEADER = "variant,seed,generation,mean_raw_fitness,best_raw_fitness,mean_probe_diversity"
 AGGREGATE_HEADER = "variant,generation,mean_raw_fitness,std_raw_fitness"
@@ -84,8 +83,11 @@ class ExperimentSpec:
             raise ValueError(f"variant names must be unique, got {names}")
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
-        if not all(isinstance(s, numbers.Integral) and s >= 0 for s in self.seeds):
-            raise ValueError(f"seeds must be integers >= 0, got {self.seeds}")
+        try:
+            for seed in self.seeds:
+                require_integer("seed", seed, 0)
+        except SettingError:
+            raise ValueError(f"seeds must be integers >= 0, got {self.seeds}") from None
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be unique, got {self.seeds}")
 
@@ -109,8 +111,11 @@ def _usable_cpus() -> int:
 def _worker_count(jobs: int | None, runs: int, cpus: int) -> int:
     """Workers for ``runs`` independent runs: ``jobs`` (default: one per
     CPU), never more than ``cpus`` or ``runs``."""
-    if jobs is not None and not (isinstance(jobs, numbers.Integral) and jobs >= 1):
-        raise ConfigError("jobs", f"expected an integer >= 1, got {jobs}")
+    if jobs is not None:
+        try:
+            require_integer("jobs", jobs, 1)
+        except SettingError:
+            raise ConfigError("jobs", f"expected an integer >= 1, got {jobs}") from None
     return min(cpus if jobs is None else jobs, cpus, runs)
 
 

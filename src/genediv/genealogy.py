@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -258,13 +259,7 @@ class GenealogyGraph:
         while queue:
             cur = queue.popleft()
             d = dist[cur] + 1
-            for nxt in self._parents[cur]:
-                if nxt == x2:
-                    return d
-                if nxt not in dist:
-                    dist[nxt] = d
-                    queue.append(nxt)
-            for nxt in children[cur]:
+            for nxt in chain(self._parents[cur], children[cur]):
                 if nxt == x2:
                     return d
                 if nxt not in dist:

@@ -39,11 +39,13 @@ class SettingError(ValueError):
         super().__init__(message)
 
 
-def require_integer(field: str, value) -> None:
-    """Raise a :class:`SettingError` for ``field`` unless ``value`` is an
-    integer (numpy integers included)."""
-    if not isinstance(value, numbers.Integral):
+def require_integer(field: str, value, at_least: int) -> None:
+    """Raise a :class:`SettingError` for ``field`` unless ``value`` is a count:
+    an integer of at least ``at_least`` (numpy integers pass, ``bool`` does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise SettingError(field, f"{field} must be an integer, got {value!r}")
+    if value < at_least:
+        raise SettingError(field, f"{field} must be >= {at_least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -76,11 +76,12 @@ def test_config_validation():
 INTEGER_FIELDS = ["population_size", "generations", "tournament_size", "immigrants_per_gen", "tau"]
 
 
-@pytest.mark.parametrize("value", [1.5, 20.0])
+@pytest.mark.parametrize("value", [1.5, 20.0, True, False])
 @pytest.mark.parametrize("name", INTEGER_FIELDS)
 def test_counts_must_be_integers(name, value):
     # A fractional tournament size used to hang the run; the others failed
-    # mid-run inside numpy or range.
+    # mid-run inside numpy or range.  A bool is no count: generations=True
+    # used to run one generation.
     with pytest.raises(SettingError) as err:
         EngineConfig(**{name: value})
     assert err.value.field == name
@@ -95,9 +96,29 @@ def test_numpy_integer_counts_accepted():
 
 
 def test_sample_size_must_be_an_integer():
+    for value in (2.5, True, False):
+        with pytest.raises(SettingError) as err:
+            DiversityConfig(sample_size=value)
+        assert err.value.field == "sample_size"
+        assert str(err.value) == f"sample_size must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "name, at_least",
+    [("population_size", 1), ("generations", 0), ("tournament_size", 1),
+     ("immigrants_per_gen", 0), ("tau", 1), ("sample_size", 1)],
+)
+def test_count_below_its_least_value_names_the_field(name, at_least):
+    def build(value):
+        if name == "sample_size":
+            return DiversityConfig(sample_size=value)
+        return EngineConfig(**{"immigrants_per_gen": 0, name: value})
+
     with pytest.raises(SettingError) as err:
-        DiversityConfig(sample_size=2.5)
-    assert err.value.field == "sample_size"
+        build(at_least - 1)
+    assert err.value.field == name
+    assert str(err.value) == f"{name} must be >= {at_least}, got {at_least - 1}"
+    assert getattr(build(at_least), name) == at_least
 
 
 def test_configs_check_themselves_when_built():

@@ -113,8 +113,9 @@ def test_repeated_seed_is_rejected_before_any_write(tmp_path, two_cpus):
         grid_search(grid_spec(out, [0.5, 1.0], seeds=(4, 5, 4)), jobs=2)
     assert not out.exists()
     assert multiprocessing.active_children() == []
-    # A seed that is negative or not an integer is rejected at the same door.
-    for seeds in ((-1,), (1.5,), (3, "4")):
+    # A seed that is negative or not an integer (a bool included) is
+    # rejected at the same door.
+    for seeds in ((-1,), (1.5,), (3, "4"), (True,)):
         for jobs in (1, 2):
             with pytest.raises(ValueError, match="seeds must be integers >= 0"):
                 run_experiment(tiny_spec(out, seeds=seeds), jobs=jobs)
@@ -193,7 +194,7 @@ def test_worker_count_bounds(tmp_path, two_cpus):
     assert _worker_count(10**9, runs=12, cpus=10**6) == 12
     assert _worker_count(10**9, runs=10**9, cpus=2) == 2
     assert _worker_count(1, runs=40, cpus=8) == 1
-    for jobs in (0, -3, 1.5, 2.0, "2"):
+    for jobs in (0, -3, 1.5, 2.0, "2", True):
         with pytest.raises(ConfigError) as info:
             _worker_count(jobs, runs=4, cpus=2)
         assert info.value.key == "jobs"

@@ -83,6 +83,27 @@ def test_no_private_access_across_objects():
     assert found == []
 
 
+def test_integer_rule_lives_in_require_integer():
+    """What a count is (a ``numbers.Integral`` that is not a ``bool``) is
+    decided in ``routing.require_integer`` alone; every count calls it."""
+    found = []
+    for path in sorted(Path(genediv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "routing.py":
+            (rule,) = [
+                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "require_integer"
+            ]
+            allowed = {id(n) for n in ast.walk(rule)}
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Attribute) and node.attr == "Integral") or (
+                isinstance(node, ast.alias) and node.name == "Integral"
+            )
+            if named and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_benchmark_trace_targets_resolve():
     """Every function the benchmark's tracer wraps exists: a renamed target
     is recorded as absent there, and its per-layer metrics then read 0."""
