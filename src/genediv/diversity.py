@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .genealogy import AncestryIndex, GenealogyGraph
-from .routing import SettingError, require_integer
+from .routing import SettingError, require_integer, require_real
 
 
 def sum_left(values: Iterable[float]) -> float:
@@ -81,10 +81,7 @@ class DiversityConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, MetricKind):
             raise SettingError("kind", f"unknown diversity metric kind: {self.kind!r}")
-        if not np.isfinite(self.weight) or self.weight < 0.0:
-            raise SettingError(
-                "weight", f"diversity weight must be finite and >= 0, got {self.weight}"
-            )
+        require_real("weight", self.weight, 0.0, np.inf)
         require_integer("sample_size", self.sample_size, 1)
 
 

@@ -69,15 +69,17 @@ from .diversity import (
     sum_left,
 )
 from .genealogy import GenealogyGraph
-from .routing import RoutingProblem, SettingError, require_integer
+from .routing import RoutingProblem, SettingError, require_integer, require_real
 from .trash_genes import flip_one_bit, random_trash, uniform_cross
 
 PROBE_SIZE = 5
 
-# Each count of EngineConfig and the least value it takes.
-_COUNTS = (
-    ("population_size", 1), ("generations", 0), ("tournament_size", 1),
-    ("immigrants_per_gen", 0), ("tau", 1),
+# Each number of EngineConfig, the rule that decides it, then that rule's bounds.
+_SETTINGS = (
+    ("population_size", require_integer, 1), ("generations", require_integer, 0),
+    ("tournament_size", require_integer, 1), ("immigrants_per_gen", require_integer, 0),
+    ("tau", require_integer, 1), ("mutation_prob", require_real, 0.0, 1.0),
+    ("crossover_prob", require_real, 0.0, 1.0),
 )
 
 
@@ -95,9 +97,9 @@ class Individual:
 class EngineConfig:
     """Knobs of the generational loop (defaults match the benchmark setup).
 
-    Checked when built: a count that is not an integer, or any field out of
-    range, raises a :class:`SettingError` naming it.  Frozen; vary it with
-    :func:`dataclasses.replace`.
+    Checked when built: a number its rule rejects (a count, or a real
+    probability), or any field out of range, raises a :class:`SettingError`
+    naming it.  Frozen; vary it with :func:`dataclasses.replace`.
     """
 
     population_size: int = 20
@@ -110,12 +112,8 @@ class EngineConfig:
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
     def __post_init__(self) -> None:
-        for name, at_least in _COUNTS:
-            require_integer(name, getattr(self, name), at_least)
-        for name in ("mutation_prob", "crossover_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise SettingError(name, f"{name} must be in [0, 1], got {p}")
+        for name, rule, *bounds in _SETTINGS:
+            rule(name, getattr(self, name), *bounds)
         if self.population_size <= self.immigrants_per_gen:
             raise SettingError(
                 "immigrants_per_gen",
@@ -329,9 +327,10 @@ def run_evolution(
 ) -> RunResult:
     """Run a full evolution and return trace, genealogy, and final population.
 
-    ``seed`` seeds the run's single random stream.  The run builds its
-    distance function once and passes it to every step.
+    ``seed``, a count, seeds the run's single random stream.  The run builds
+    its distance function once and passes it to every step.
     """
+    require_integer("seed", seed, 0)
     if problem is None:
         problem = RoutingProblem()
     rng = np.random.default_rng(seed)

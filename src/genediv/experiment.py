@@ -83,11 +83,8 @@ class ExperimentSpec:
             raise ValueError(f"variant names must be unique, got {names}")
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
-        try:
-            for seed in self.seeds:
-                require_integer("seed", seed, 0)
-        except SettingError:
-            raise ValueError(f"seeds must be integers >= 0, got {self.seeds}") from None
+        for seed in self.seeds:
+            require_integer("seed", seed, 0)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be unique, got {self.seeds}")
 

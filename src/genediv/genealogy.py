@@ -38,6 +38,7 @@ back with :func:`write_genealogy_log` / :func:`read_genealogy_log`.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from enum import Enum
 from itertools import chain
@@ -88,19 +89,19 @@ class GenealogyGraph:
         The parent count is the operator: none for genesis, one for mutation,
         two for recombination.  ``parents`` must already be recorded.
         """
-        parents = tuple(map(int, parents))
+        parents = tuple(map(operator.index, parents))
         if len(parents) > 2:
             raise ValueError(f"a birth takes at most 2 parents, got {len(parents)}")
         n = len(self._parents)
         for p in parents:
             if not 0 <= p < n:
                 raise KeyError(f"unknown parent node id {p}")
+        self._birth_gen.append(operator.index(generation))  # first: a bad one records nothing
         self._parents.append(parents)
-        self._birth_gen.append(int(generation))
         return n
 
     def _check(self, node: int) -> int:
-        node = int(node)
+        node = operator.index(node)
         if not 0 <= node < len(self._parents):
             raise KeyError(f"unknown node id {node}")
         return node

@@ -48,6 +48,15 @@ def require_integer(field: str, value, at_least: int) -> None:
         raise SettingError(field, f"{field} must be >= {at_least}, got {value}")
 
 
+def require_real(field: str, value, at_least: float, at_most: float) -> None:
+    """Raise a :class:`SettingError` for ``field`` unless ``value`` is a finite real
+    number in ``[at_least, at_most]`` (numpy numbers pass, ``bool`` and strings do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SettingError(field, f"{field} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and at_least <= value <= at_most):
+        raise SettingError(field, f"{field} must be finite and in [{at_least}, {at_most}], got {value}")
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle with ``x0 <= x1`` and ``y0 <= y1``."""
@@ -59,11 +68,10 @@ class Rect:
 
     def __post_init__(self) -> None:
         for name in ("x0", "y0", "x1", "y1"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"rectangle coordinate {name} must be finite, got {v}")
+            require_real(name, getattr(self, name), -math.inf, math.inf)
         if self.x0 > self.x1 or self.y0 > self.y1:
-            raise ValueError(f"degenerate rectangle: ({self.x0}, {self.y0})..({self.x1}, {self.y1})")
+            at = "x1" if self.x0 > self.x1 else "y1"
+            raise SettingError(at, f"degenerate rectangle: ({self.x0}, {self.y0})..({self.x1}, {self.y1})")
 
     def contains(self, x: float, y: float) -> bool:
         """Point-in-rectangle test, boundary included."""
@@ -91,6 +99,8 @@ class Arena:
     obstacle: Rect
 
     def __post_init__(self) -> None:
+        for v in self.start:
+            require_real("start", v, -math.inf, math.inf)
         if not self.bounds.contains(*self.start):
             raise SettingError("start", f"start {self.start} lies outside the arena bounds")
         if not self.bounds.contains_rect(self.goal):
@@ -191,8 +201,7 @@ class RoutingProblem:
             raise SettingError(
                 "step_norm", f"unknown step norm {self.step_norm!r} (expected one of {STEP_NORMS})"
             )
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise SettingError("sigma", f"sigma must be finite and > 0, got {self.sigma}")
+        require_real("sigma", self.sigma, math.ulp(0.0), math.inf)  # the least float > 0
         floats = list(self.arena.start)
         for r in (self.arena.bounds, self.arena.obstacle, self.arena.goal):
             floats += (r.x0, r.y0, r.x1, r.y1)

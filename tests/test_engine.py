@@ -426,6 +426,15 @@ def test_run_evolution_seed_changes_outcome():
     )
 
 
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "7"])
+def test_run_evolution_checks_its_seed_as_a_count(seed):
+    # numpy read True as seed 1 and replayed its run.
+    with pytest.raises(SettingError) as err:
+        run_evolution(small_config(generations=2), PROBLEM, seed=seed)
+    assert err.value.field == "seed"
+    assert run_evolution(small_config(generations=2), PROBLEM, seed=np.int64(1)).trace
+
+
 def _run_recording_the_stream(monkeypatch, config, problem, seed):
     """The run's trace, the final state of its one generator and the parent
     count of every birth, in birth order."""

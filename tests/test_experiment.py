@@ -114,12 +114,12 @@ def test_repeated_seed_is_rejected_before_any_write(tmp_path, two_cpus):
     assert not out.exists()
     assert multiprocessing.active_children() == []
     # A seed that is negative or not an integer (a bool included) is
-    # rejected at the same door.
+    # rejected at the same door, by the count rule.
     for seeds in ((-1,), (1.5,), (3, "4"), (True,)):
         for jobs in (1, 2):
-            with pytest.raises(ValueError, match="seeds must be integers >= 0"):
+            with pytest.raises(SettingError, match="seed must be "):
                 run_experiment(tiny_spec(out, seeds=seeds), jobs=jobs)
-            with pytest.raises(ValueError, match="seeds must be integers >= 0"):
+            with pytest.raises(SettingError, match="seed must be "):
                 grid_search(grid_spec(out, [0.5, 1.0], seeds=seeds), jobs=jobs)
             assert not out.exists()
             assert multiprocessing.active_children() == []

@@ -98,6 +98,26 @@ def test_queries_reject_unknown_nodes():
         g.parents(4)
 
 
+def test_node_ids_and_generations_must_be_integers():
+    # int() used to truncate a float id and parse a string one: parent 0.7
+    # was recorded as 0, parent "1" as 1, generation 2.9 as 2, and
+    # gdist(1.9, 0.2) read nodes 1 and 0.
+    g = GenealogyGraph()
+    g.record_birth(())
+    g.record_birth(())
+    for birth in (lambda: g.record_birth((0.7,), 0), lambda: g.record_birth(("1",), 0),
+                  lambda: g.record_birth((), 2.9)):
+        with pytest.raises(TypeError):
+            birth()
+    assert len(g) == 2
+    with pytest.raises(TypeError):
+        g.gdist(1.9, 0.2)
+    # Numpy integers are integers.
+    assert g.record_birth((np.int64(0), np.int32(1)), np.int64(3)) == 2
+    assert g.parents(2) == (0, 1) and g.birth_generation(2) == 3
+    assert g.gdist(np.int64(2), 0) == g.gdist(2, 0)
+
+
 def test_birth_generation_recorded():
     g = chain(3)
     assert [g.birth_generation(i) for i in g.nodes()] == [0, 1, 2]

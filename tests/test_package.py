@@ -83,24 +83,45 @@ def test_no_private_access_across_objects():
     assert found == []
 
 
-def test_integer_rule_lives_in_require_integer():
+def _functions(tree, names):
+    """The ids of every node inside the top-level functions or methods of
+    ``tree`` named in ``names`` (``"Class.method"`` for a method)."""
+    inside = set()
+    for top in tree.body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in members:
+            if isinstance(node, ast.FunctionDef):
+                name = f"{top.name}.{node.name}" if node is not top else node.name
+                if name in names:
+                    inside |= {id(n) for n in ast.walk(node)}
+    return inside
+
+
+# Each name, and the functions under src/ that alone may use it.
+RULE_NAMES = {
+    "Integral": {"require_integer"},
+    "Real": {"require_real"},
+    # Besides the real rule, the step loop checks a genome's actions.
+    "isfinite": {"require_real", "RoutingProblem.evaluate"},
+}
+
+
+def test_number_rules_live_in_require_integer_and_require_real():
     """What a count is (a ``numbers.Integral`` that is not a ``bool``) is
-    decided in ``routing.require_integer`` alone; every count calls it."""
+    decided in ``routing.require_integer`` alone, and what a real setting is
+    (a finite ``numbers.Real`` that is not a ``bool``) in
+    ``routing.require_real`` alone; every count and every real setting calls
+    its rule."""
     found = []
     for path in sorted(Path(genediv.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = set()
-        if path.name == "routing.py":
-            (rule,) = [
-                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "require_integer"
-            ]
-            allowed = {id(n) for n in ast.walk(rule)}
-        for node in ast.walk(tree):
-            named = (isinstance(node, ast.Attribute) and node.attr == "Integral") or (
-                isinstance(node, ast.alias) and node.name == "Integral"
-            )
-            if named and id(node) not in allowed:
-                found.append(f"{path.name}:{node.lineno}")
+        for name, owners in RULE_NAMES.items():
+            allowed = _functions(tree, owners) if path.name == "routing.py" else set()
+            for node in ast.walk(tree):
+                # An attribute, a plain name or an imported name.
+                spelled = {getattr(node, a, None) for a in ("attr", "id", "name")}
+                if name in spelled and id(node) not in allowed:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 
 

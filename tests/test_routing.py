@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -289,6 +290,46 @@ def test_routing_problem_validation_and_dispatch():
         RoutingProblem(step_norm="manhattan")
     with pytest.raises(ValueError):
         RoutingProblem(sigma=-1.0)
+
+
+def _with_real(field, value):
+    """The object that owns the real setting ``field``, built with ``value``."""
+    bounds, goal, obstacle = DEFAULT_ARENA.bounds, DEFAULT_ARENA.goal, DEFAULT_ARENA.obstacle
+    if field in ("mutation_prob", "crossover_prob"):
+        return EngineConfig(**{field: value})
+    if field == "weight":
+        return DiversityConfig(MetricKind.DOMAIN, weight=value)
+    if field == "sigma":
+        return RoutingProblem(sigma=value)
+    if field in ("start.x", "start.y"):
+        start = (value, 0.5) if field == "start.x" else (0.1, value)
+        return Arena(bounds, start, goal, obstacle)
+    return Rect(**{"x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 1.0, field: value})
+
+
+# Each real setting, a value in its range and one out of it (a coordinate's
+# range is the finite numbers).
+REAL_SETTINGS = [
+    ("mutation_prob", 1, 1.5), ("crossover_prob", 0, -0.1), ("weight", 2, -0.5),
+    ("sigma", 1, 0.0), ("x0", 0, -math.inf), ("y0", 0, -math.inf), ("x1", 1, -math.inf),
+    ("y1", 1, -math.inf), ("start.x", 0.1, 1.5), ("start.y", 0.5, -0.5),
+]
+
+
+@pytest.mark.parametrize("field, in_range, out_of_range", REAL_SETTINGS)
+def test_real_settings_are_decided_by_one_rule(field, in_range, out_of_range):
+    # A bool used to build (a probability of 1, a weight of 1) and a string
+    # to raise a bare TypeError from inside numpy or math.
+    for value in (True, "0.5", math.nan, math.inf, out_of_range):
+        with pytest.raises(SettingError) as err:
+            _with_real(field, value)
+        assert err.value.field == field.partition(".")[0], value
+
+
+@pytest.mark.parametrize("field, in_range, out_of_range", REAL_SETTINGS)
+def test_real_settings_take_ints_and_numpy_numbers(field, in_range, out_of_range):
+    for value in (in_range, np.float64(in_range), np.float32(in_range)):
+        _with_real(field, value)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
